@@ -5,19 +5,26 @@
 // `abl_ring_scaling --large` extends the sweep with N=64 and N=256 rows
 // (the DestSet-era world sizes; 256 is the flat ring's architectural max).
 // The large rows are opt-in so the default output stays byte-identical to
-// the committed golden; the CI sim-jobs leg runs them as a smoke point.
+// the committed golden; CI runs them as a smoke point. Every (size,
+// measurement) cell is an independent simulation on a sweep::Runner
+// (--jobs N), so the large rows spread over all cores.
+#include <algorithm>
 #include <cstring>
 #include <iostream>
 
 #include "bench_util.h"
 #include "harness/benchops.h"
+#include "sweep/runner.h"
 
 using namespace scrnet;
 using namespace scrnet::bench;
 using namespace scrnet::harness;
 
 int main(int argc, char** argv) {
-  const bool large = argc > 1 && std::strcmp(argv[1], "--large") == 0;
+  const bool large = std::any_of(argv + 1, argv + argc, [](const char* a) {
+    return std::strcmp(a, "--large") == 0;
+  });
+  sweep::Runner runner(parse_jobs(argc, argv));
   header("Ablation: ring size scaling (2-16 nodes)",
          "extrapolates the paper's 4-node testbed per its Section 2 claims");
 
@@ -33,13 +40,30 @@ int main(int argc, char** argv) {
     sizes.push_back(64u);
     sizes.push_back(256u);
   }
-  for (u32 n : sizes) {
-    Row r{n, bbp_oneway_us(4, n),
-          n >= 2 ? bbp_bcast_us(4, n) : 0.0,
-          mpi_scramnet_barrier_us(scrmpi::CollAlgo::kNativeMcast, n),
-          mpi_scramnet_barrier_us(scrmpi::CollAlgo::kPointToPoint, n)};
+  struct RowJobs {
+    sweep::Future<double> p2p, bcast, bar_api, bar_p2p;
+  };
+  // Largest rings first: their cells dominate the run, so they should
+  // start before the small ones fill in the remaining workers.
+  std::vector<RowJobs> jobs;
+  for (auto it = sizes.rbegin(); it != sizes.rend(); ++it) {
+    const u32 n = *it;
+    jobs.push_back(
+        {runner.submit("bbp_oneway", [n] { return bbp_oneway_us(4, n); }),
+         runner.submit("bbp_bcast", [n] { return bbp_bcast_us(4, n); }),
+         runner.submit("mpi_scr_barrier", [n] {
+           return mpi_scramnet_barrier_us(scrmpi::CollAlgo::kNativeMcast, n);
+         }),
+         runner.submit("mpi_scr_barrier", [n] {
+           return mpi_scramnet_barrier_us(scrmpi::CollAlgo::kPointToPoint, n);
+         })});
+  }
+  std::reverse(jobs.begin(), jobs.end());
+  for (usize i = 0; i < sizes.size(); ++i) {
+    RowJobs& j = jobs[i];
+    Row r{sizes[i], j.p2p.get(), j.bcast.get(), j.bar_api.get(), j.bar_p2p.get()};
     rows.push_back(r);
-    t.add_row({std::to_string(n), Table::num(r.p2p), Table::num(r.bcast),
+    t.add_row({std::to_string(r.n), Table::num(r.p2p), Table::num(r.bcast),
                Table::num(r.bar_api), Table::num(r.bar_p2p)});
   }
   t.print(std::cout);

@@ -21,8 +21,10 @@ struct Panel {
 };
 
 Panel measure(const std::vector<u32>& sizes, sweep::Runner& runner) {
-  Panel pn{{"SCRAMNet API", bbp_oneway_us_sweep(sizes, runner)},
-           {"MPI", mpi_scramnet_oneway_us_sweep(sizes, runner)},
+  Panel pn{{"SCRAMNet API",
+            runner.map("bbp_oneway", sizes, [](u32 b) { return bbp_oneway_us(b); })},
+           {"MPI", runner.map("mpi_scr_oneway", sizes,
+                              [](u32 b) { return mpi_scramnet_oneway_us(b); })},
            {"MPI - API", {}}};
   for (usize i = 0; i < sizes.size(); ++i)
     pn.delta.us.push_back(pn.mpi.us[i] - pn.api.us[i]);

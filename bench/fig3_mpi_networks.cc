@@ -20,10 +20,15 @@ int main(int argc, char** argv) {
          "Moorthy et al., IPPS 1999, Figure 3");
 
   const std::vector<u32> sizes{0, 4, 64, 128, 256, 384, 512, 640, 768, 896, 1000};
-  Series scr{"SCRAMNet MPI", mpi_scramnet_oneway_us_sweep(sizes, runner)},
-      fe{"FastEth MPI",
-         mpi_tcp_oneway_us_sweep(TcpFabricKind::kFastEthernet, sizes, runner)},
-      atm{"ATM MPI", mpi_tcp_oneway_us_sweep(TcpFabricKind::kAtm, sizes, runner)};
+  const auto mpi_tcp = [&](TcpFabricKind k) {
+    return runner.map("mpi_tcp_oneway." + to_string(k), sizes,
+                      [k](u32 b) { return mpi_tcp_oneway_us(k, b); });
+  };
+  Series scr{"SCRAMNet MPI", runner.map("mpi_scr_oneway", sizes, [](u32 b) {
+               return mpi_scramnet_oneway_us(b);
+             })},
+      fe{"FastEth MPI", mpi_tcp(TcpFabricKind::kFastEthernet)},
+      atm{"ATM MPI", mpi_tcp(TcpFabricKind::kAtm)};
   print_series(sizes, {scr, fe, atm});
 
   std::cout << "\nShape checks (paper Section 5):\n";

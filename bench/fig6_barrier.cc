@@ -23,14 +23,18 @@ int main(int argc, char** argv) {
          "Moorthy et al., IPPS 1999, Figure 6");
 
   const std::vector<u32> nodes{2, 3, 4};
-  const std::vector<double> scr_api = mpi_scramnet_barrier_us_sweep(
-      nodes, scrmpi::CollAlgo::kNativeMcast, runner);
-  const std::vector<double> scr_p2p = mpi_scramnet_barrier_us_sweep(
-      nodes, scrmpi::CollAlgo::kPointToPoint, runner);
-  const std::vector<double> fe =
-      mpi_tcp_barrier_us_sweep(TcpFabricKind::kFastEthernet, nodes, runner);
-  const std::vector<double> atm =
-      mpi_tcp_barrier_us_sweep(TcpFabricKind::kAtm, nodes, runner);
+  const auto scr_barrier = [&](scrmpi::CollAlgo algo) {
+    return runner.map("mpi_scr_barrier", nodes,
+                      [algo](u32 n) { return mpi_scramnet_barrier_us(algo, n); });
+  };
+  const auto tcp_barrier = [&](TcpFabricKind k) {
+    return runner.map("mpi_tcp_barrier." + to_string(k), nodes,
+                      [k](u32 n) { return mpi_tcp_barrier_us(k, n); });
+  };
+  const std::vector<double> scr_api = scr_barrier(scrmpi::CollAlgo::kNativeMcast);
+  const std::vector<double> scr_p2p = scr_barrier(scrmpi::CollAlgo::kPointToPoint);
+  const std::vector<double> fe = tcp_barrier(TcpFabricKind::kFastEthernet);
+  const std::vector<double> atm = tcp_barrier(TcpFabricKind::kAtm);
 
   Table t({"nodes", "SCRAMNet w/API (us)", "SCRAMNet w/p2p (us)",
            "FastEth p2p (us)", "ATM p2p (us)"});

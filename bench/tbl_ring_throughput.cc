@@ -45,8 +45,9 @@ int main(int argc, char** argv) {
     return raw_ring_mbps(scramnet::PacketMode::kVariable, 1u << 20);
   });
   const std::vector<u32> sizes{64, 256, 1024, 4096, 16384, 65536};
-  const std::vector<double> bbp =
-      bbp_throughput_mbps_sweep(sizes, 1u << 20, runner);
+  const std::vector<double> bbp = runner.map("bbp_throughput", sizes, [](u32 b) {
+    return bbp_throughput_mbps(b, 1u << 20);
+  });
   const double fixed = f_fixed.get();
   const double variable = f_variable.get();
 

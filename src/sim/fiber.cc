@@ -13,6 +13,9 @@
 #include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
+#if defined(SCRNET_FIBER_TSAN)
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace scrnet::sim::detail {
 
@@ -88,6 +91,12 @@ thread_local FiberContext* g_switch_target = nullptr;
 thread_local FiberContext* g_switch_source = nullptr;
 }  // namespace
 
+FiberContext::~FiberContext() {
+#if defined(SCRNET_FIBER_TSAN)
+  if (tsan_owned_) __tsan_destroy_fiber(tsan_fiber_);
+#endif
+}
+
 #if defined(SCRNET_FIBER_BACKEND_ASM)
 
 // System-V x86-64 cooperative switch: save callee-saved registers plus the
@@ -129,6 +138,12 @@ scrnet_fiber_switch_asm:
 void FiberContext::prepare(Entry entry, void* arg, const FiberStack& stack) {
   entry_ = entry;
   arg_ = arg;
+#if defined(SCRNET_FIBER_TSAN)
+  if (!tsan_owned_) {
+    tsan_fiber_ = __tsan_create_fiber(0);
+    tsan_owned_ = true;
+  }
+#endif
 #if defined(SCRNET_FIBER_ASAN)
   stack_bottom_ = stack.limit();
   stack_size_ = stack.usable_bytes();
@@ -156,6 +171,12 @@ void FiberContext::prepare(Entry entry, void* arg, const FiberStack& stack) {
 void FiberContext::prepare(Entry entry, void* arg, const FiberStack& stack) {
   entry_ = entry;
   arg_ = arg;
+#if defined(SCRNET_FIBER_TSAN)
+  if (!tsan_owned_) {
+    tsan_fiber_ = __tsan_create_fiber(0);
+    tsan_owned_ = true;
+  }
+#endif
 #if defined(SCRNET_FIBER_ASAN)
   stack_bottom_ = stack.limit();
   stack_size_ = stack.usable_bytes();
@@ -197,6 +218,13 @@ void FiberContext::switch_from(FiberContext& from, bool from_dying) {
                                  stack_bottom_, stack_size_);
 #else
   (void)from_dying;
+#endif
+#if defined(SCRNET_FIBER_TSAN)
+  // `from` may be a thread's own context (the kernel side, which runs on
+  // whichever thread calls Simulation::run), so learn its TSan identity at
+  // every switch out rather than once.
+  from.tsan_fiber_ = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
 #if defined(SCRNET_FIBER_BACKEND_ASM)
   scrnet_fiber_switch_asm(&from.sp_, sp_);

@@ -17,9 +17,13 @@
 //  * ucontext (other POSIX targets, or -DSCRNET_SIM_UCONTEXT_FIBERS=ON):
 //    portable getcontext/makecontext/swapcontext.
 //
-// Both backends carry the __sanitizer_start_switch_fiber /
-// __sanitizer_finish_switch_fiber annotations, so AddressSanitizer tracks
-// the live stack across swaps and fiber builds run clean under ASan.
+// Both backends carry the sanitizer fiber annotations, detected at compile
+// time: __sanitizer_start_switch_fiber / __sanitizer_finish_switch_fiber
+// so AddressSanitizer tracks the live stack across swaps, and
+// __tsan_create_fiber / __tsan_switch_to_fiber / __tsan_destroy_fiber so
+// ThreadSanitizer keeps one shadow stack and clock per fiber. Every switch
+// is a synchronizing one: a simulation's fibers run strictly one at a time,
+// and TSan sees the same happens-before chain the kernel enforces.
 #pragma once
 
 #include <cstddef>
@@ -39,6 +43,14 @@
 #elif defined(__has_feature)
 #if __has_feature(address_sanitizer)
 #define SCRNET_FIBER_ASAN 1
+#endif
+#endif
+
+#if defined(__SANITIZE_THREAD__)
+#define SCRNET_FIBER_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define SCRNET_FIBER_TSAN 1
 #endif
 #endif
 
@@ -99,6 +111,7 @@ class FiberContext {
   using Entry = void (*)(void* arg);
 
   FiberContext() = default;
+  ~FiberContext();
   FiberContext(const FiberContext&) = delete;
   FiberContext& operator=(const FiberContext&) = delete;
 
@@ -128,6 +141,10 @@ class FiberContext {
   void* fake_stack_ = nullptr;        // ASan fake-stack handle while suspended
   const void* stack_bottom_ = nullptr;  // this context's stack, for ASan
   usize stack_size_ = 0;
+#endif
+#if defined(SCRNET_FIBER_TSAN)
+  void* tsan_fiber_ = nullptr;  // TSan's context for this one, once known
+  bool tsan_owned_ = false;     // created by prepare(); destroyed with us
 #endif
 };
 

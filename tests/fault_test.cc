@@ -397,6 +397,37 @@ TEST(FaultPlan, BbpTimesOutInsteadOfHanging) {
   EXPECT_GE(ring.packets_lost(), 1u);
 }
 
+TEST(FaultPlan, HostDialFlipsMidRunOnFlatRing) {
+  // A host-I/O dial flipped at t = 30 us slows the dialed node's port
+  // transactions from then on; the plan counts exactly one injection.
+  auto finish_time = [](bool degraded) {
+    sim::Simulation sim;
+    Ring ring(sim, RingConfig{.nodes = 4, .bank_words = 4096});
+    fault::FaultPlan p;
+    if (degraded) p.host_congestion(us(30), 3, 4.0);
+    EXPECT_TRUE(p.arm(sim, &ring).ok());
+    SimTime done = 0;
+    sim.spawn("writer", [&](sim::Process& pr) {
+      SimHostPort port(ring, 3, pr);
+      port.set_dials(p.dials(3));
+      for (u32 i = 0; i < 64; ++i) {
+        port.write_u32(100 + i, i + 1);
+        port.poll_pause();
+      }
+      done = pr.now();
+    });
+    sim.run();
+    EXPECT_EQ(p.fired(fault::FaultKind::kHostIo), degraded ? 1u : 0u);
+    EXPECT_EQ(ring.host_read(0, 163), 64u);
+    return done;
+  };
+  const SimTime nominal = finish_time(false);
+  const SimTime degraded = finish_time(true);
+  EXPECT_GT(nominal, us(30));  // the flip lands mid-run
+  EXPECT_GT(degraded, nominal);
+  EXPECT_EQ(finish_time(true), degraded);  // deterministic
+}
+
 TEST(FaultPlan, HierarchyPortsHonorHostDials) {
   // Host-level faults apply to the two-level ring hierarchy through the
   // same PortDials mechanism as the flat ring (arm_hosts + set_dials).

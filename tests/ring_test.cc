@@ -1,6 +1,7 @@
 // Tests for the SCRAMNet ring device model.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "scramnet/ring.h"
@@ -146,6 +147,30 @@ TEST(Ring, SharedMediumArbitratesBetweenSenders) {
   const double secs = static_cast<double>(sim.now()) / 1e12;
   const double aggregate_mbps = 2 * 32768.0 / 1e6 / secs;
   EXPECT_LE(aggregate_mbps, 16.8);  // both share the ring
+}
+
+TEST(Ring, SamePicosecondWritesReachMediumInNodeOrder) {
+  // Two hosts write at the same picosecond. Node 2's process is spawned
+  // first, so the kernel runs its write first, but node 1 has the lower
+  // index and must win the shared medium: node 1's packet serializes in
+  // [0, occ) and node 2's queues behind it in [occ, 2*occ). An interrupt
+  // watch at node 0 stamps each packet's arrival there.
+  sim::Simulation sim;
+  const RingConfig cfg = small_ring();
+  Ring ring(sim, cfg);
+  SimTime from1 = 0, from2 = 0;
+  ring.set_interrupt(0, 1, 3, [&](u32 addr) {
+    (addr == 1 ? from1 : from2) = sim.now();
+  });
+  for (u32 node : {2u, 1u}) {
+    sim.spawn("host" + std::to_string(node), [&ring, node](sim::Process&) {
+      ring.host_write(node, node, 0xC0DE0000u + node);
+    });
+  }
+  sim.run();
+  const SimTime occ = cfg.packet_occupancy(4);
+  EXPECT_EQ(from1, occ + 3 * cfg.hop_latency);      // node 1 -> 0: three hops
+  EXPECT_EQ(from2, 2 * occ + 2 * cfg.hop_latency);  // node 2 -> 0: two hops
 }
 
 TEST(Ring, InterruptFiresOnNetworkDeliveryInRange) {

@@ -1,9 +1,6 @@
-// Tests for the process scheduler (fiber backend by default, hosted-thread
-// backend with SCRNET_SIM_THREAD_PROCS): spawn/teardown at scale, exception
+// Tests for the fiber process scheduler: spawn/teardown at scale, exception
 // and cancellation unwinding, report-text stability, stack-pool recycling,
-// and run-twice determinism. Everything here must pass identically on both
-// backends; stack-pool counter checks are fiber-only and compiled out of
-// the thread fallback.
+// and run-twice determinism.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -71,8 +68,8 @@ TEST(SimProcess, ExceptionFromDeepFrameUnwindsAndPropagates) {
 }
 
 // Destroying a Simulation while a process is parked must unwind that
-// process's stack so RAII cleanup in the body runs (the fiber backend
-// injects the same cancellation exception the thread backend uses).
+// process's stack so RAII cleanup in the body runs (the kernel resumes the
+// fiber with a cancellation exception).
 TEST(SimProcess, TeardownUnwindsParkedProcessStacks) {
   bool cleaned_up = false;
   {
@@ -140,7 +137,6 @@ TEST(SimProcess, SpawnFromRunningProcessOrdering) {
   EXPECT_EQ(log, want);
 }
 
-#if !defined(SCRNET_SIM_THREAD_PROCS)
 TEST(SimProcess, StackPoolRecyclesAcrossSequentialLifetimes) {
   // 64 processes whose lifetimes never overlap: one mmap'd stack must
   // serve all of them, every later acquire coming from the free list.
@@ -196,7 +192,6 @@ TEST(SimProcess, StackSizeKnobIsPageRoundedAndUsable) {
   sim.run();
   EXPECT_EQ(sim.live_processes(), 0u);
 }
-#endif  // !SCRNET_SIM_THREAD_PROCS
 
 // Run-twice determinism for the scheduler specifically (mirrors
 // sim_queue_test.cc): a mixed workload of delays, signals, timeouts, and

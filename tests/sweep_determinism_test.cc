@@ -1,8 +1,8 @@
 // sweep::Runner: work-stealing pool correctness and the bit-identical
 // determinism contract. The stress cases deliberately run multi-fiber
 // simulations on many worker threads at once -- the exact configuration
-// the ThreadSanitizer CI job checks (with SCRNET_SIM_THREAD_PROCS=ON,
-// since fibers and TSan do not mix).
+// the ThreadSanitizer CI job checks (fibers carry TSan annotations, so the
+// scheduler under test is the production one).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +21,14 @@ namespace scrnet {
 namespace {
 
 using sweep::Runner;
+
+/// A BBP one-way latency series (4 nodes), one runner job per size.
+std::vector<double> oneway_sweep(Runner& r, const std::vector<u32>& sizes,
+                                 u32 iters, u32 warmup) {
+  return r.map("bbp_oneway", sizes, [=](u32 bytes) {
+    return harness::bbp_oneway_us(bytes, 4, iters, warmup);
+  });
+}
 
 TEST(Runner, InlineWhenJobsIsOne) {
   Runner r(1);
@@ -72,8 +80,8 @@ TEST(Runner, MapPreservesElementOrder) {
 TEST(SweepDeterminism, ParallelMatchesSequentialBitExact) {
   const std::vector<u32> sizes{0, 4, 16, 64, 256};
   Runner seq(1), par(8);
-  const auto a = harness::bbp_oneway_us_sweep(sizes, seq, 4, 4, 1);
-  const auto b = harness::bbp_oneway_us_sweep(sizes, par, 4, 4, 1);
+  const auto a = oneway_sweep(seq, sizes, 4, 1);
+  const auto b = oneway_sweep(par, sizes, 4, 1);
   ASSERT_EQ(a.size(), b.size());
   for (usize i = 0; i < a.size(); ++i) {
     // Bit-exact, not approximately equal.
@@ -87,8 +95,8 @@ TEST(SweepDeterminism, ParallelMatchesSequentialBitExact) {
 TEST(SweepDeterminism, CompletionOrderInversionIsInvisible) {
   std::vector<u32> sizes{1000, 750, 512, 256, 64, 16, 4, 0};
   Runner seq(1), par(8);
-  const auto a = harness::bbp_oneway_us_sweep(sizes, seq, 4, 4, 1);
-  const auto b = harness::bbp_oneway_us_sweep(sizes, par, 4, 4, 1);
+  const auto a = oneway_sweep(seq, sizes, 4, 1);
+  const auto b = oneway_sweep(par, sizes, 4, 1);
   for (usize i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
 }
 
@@ -99,10 +107,71 @@ TEST(SweepDeterminism, StressManyJobsFewWorkers) {
   std::vector<u32> sizes;
   for (u32 i = 0; i < 64; ++i) sizes.push_back((i % 16) * 32);
   Runner seq(1), par(8);
-  const auto a = harness::bbp_oneway_us_sweep(sizes, seq, 4, 2, 1);
-  const auto b = harness::bbp_oneway_us_sweep(sizes, par, 4, 2, 1);
+  const auto a = oneway_sweep(seq, sizes, 2, 1);
+  const auto b = oneway_sweep(par, sizes, 2, 1);
   ASSERT_EQ(a.size(), 64u);
   for (usize i = 0; i < 64; ++i) EXPECT_EQ(a[i], b[i]) << "job " << i;
+}
+
+/// 8-rank BBP neighbor exchange; every rank's finish time plus the run's
+/// final time -- the run's whole observable timestamp surface. `stagger`
+/// offsets each rank's start; without it every rank requests the medium
+/// at identical picoseconds, so the ring's node-ordered arbitration
+/// decides every tie.
+std::vector<SimTime> bbp_ring_times(bool stagger) {
+  constexpr u32 kNodes = 8;
+  std::vector<SimTime> done(kNodes, 0);
+  const SimTime end = harness::run_scramnet_bbp(
+      kNodes, [&](sim::Process& p, bbp::Endpoint& ep) {
+        const u32 me = ep.rank();
+        const u32 right = (me + 1) % kNodes;
+        const u32 left = (me + kNodes - 1) % kNodes;
+        if (stagger) p.delay(ns(73) * (me + 1));
+        std::vector<u8> msg(96, static_cast<u8>(me));
+        std::vector<u8> buf(96);
+        for (u32 i = 0; i < 20; ++i) {
+          ASSERT_TRUE(ep.send(right, msg).ok());
+          ASSERT_TRUE(ep.recv(left, buf).ok());
+          EXPECT_EQ(buf[0], static_cast<u8>(left));
+        }
+        done[me] = p.now();
+      });
+  done.push_back(end);
+  return done;
+}
+
+TEST(RunDeterminism, BbpRingExchangeRepeatsBitExactly) {
+  for (bool stagger : {true, false}) {
+    const std::vector<SimTime> ref = bbp_ring_times(stagger);
+    EXPECT_EQ(bbp_ring_times(stagger), ref) << "stagger=" << stagger;
+  }
+}
+
+/// 8-rank MPI pairwise sendrecv (partners me ^ 1); per-rank finish times
+/// plus the run's final time.
+std::vector<SimTime> mpi_exchange_times() {
+  constexpr u32 kNodes = 8;
+  std::vector<SimTime> done(kNodes, 0);
+  const SimTime end = harness::run_scramnet_mpi(
+      kNodes, [&](sim::Process& p, scrmpi::Mpi& mpi) {
+        const scrmpi::Comm& w = mpi.world();
+        const int me = mpi.rank(w);
+        const int peer = me ^ 1;
+        for (int i = 0; i < 10; ++i) {
+          int mine = me * 100 + i, theirs = -1;
+          mpi.sendrecv(&mine, 1, scrmpi::Datatype::kInt32, peer, 0, &theirs, 1,
+                       scrmpi::Datatype::kInt32, peer, 0, w);
+          EXPECT_EQ(theirs, peer * 100 + i);
+        }
+        done[static_cast<u32>(me)] = p.now();
+      });
+  done.push_back(end);
+  return done;
+}
+
+TEST(RunDeterminism, MpiPairwiseExchangeRepeatsBitExactly) {
+  const std::vector<SimTime> ref = mpi_exchange_times();
+  EXPECT_EQ(mpi_exchange_times(), ref);
 }
 
 // Each job gets a private obs sink: events recorded inside a job are
