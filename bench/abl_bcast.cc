@@ -16,8 +16,10 @@
 // agree by construction; the final check verifies that cell by cell.
 #include <iostream>
 #include <map>
+#include <tuple>
 
 #include "bench_util.h"
+#include "sweep/runner.h"
 #include "tune/measure.h"
 #include "tune/table.h"
 
@@ -27,27 +29,31 @@ using namespace scrnet::tune;
 
 namespace {
 
-double cell_us(const std::string& dev, u32 nodes, u32 bytes,
-               const std::string& algo) {
-  // Memoized: the final table-agreement check revisits cells the sweep
-  // sections already measured (each cell is deterministic).
-  static std::map<std::string, double> memo;
-  const std::string key =
-      dev + "/" + algo + "/" + std::to_string(nodes) + "/" + std::to_string(bytes);
-  const auto it = memo.find(key);
-  if (it != memo.end()) return it->second;
-  MeasureSpec s;
-  s.device = dev;
-  s.op = "bcast";
-  s.algo = algo;
-  s.nodes = nodes;
-  s.bytes = bytes;
-  return memo[key] = measure_us(s);
+/// Measured bcast latency (us) by (device, nodes, bytes, algorithm).
+using Cells = std::map<std::tuple<std::string, u32, u32, std::string>, double>;
+/// Grid points as (device, (nodes, bytes)).
+using Points = std::vector<std::pair<std::string, std::pair<u32, u32>>>;
+
+/// Every candidate algorithm at every point, each cell measured once on
+/// the runner (the sections and the table check read overlapping cells).
+Cells measure_cells(sweep::Runner& runner, const Points& points) {
+  Cells cells;
+  std::vector<MeasureSpec> specs;
+  for (const auto& [dev, nb] : points)
+    for (const std::string& algo : candidates(dev, "bcast"))
+      if (cells.emplace(Cells::key_type{dev, nb.first, nb.second, algo}, 0.0).second)
+        specs.push_back({.device = dev, .op = "bcast", .algo = algo,
+                         .nodes = nb.first, .bytes = nb.second});
+  const std::vector<double> us = runner.map("abl_bcast", specs, measure_us);
+  for (usize i = 0; i < specs.size(); ++i)
+    cells[{specs[i].device, specs[i].nodes, specs[i].bytes, specs[i].algo}] = us[i];
+  return cells;
 }
 
 /// One size-sweep section: a column per algorithm, a row per grid size.
 /// Returns the per-algorithm series keyed in candidate order.
-std::vector<std::vector<double>> size_section(const std::string& dev,
+std::vector<std::vector<double>> size_section(const Cells& cells,
+                                              const std::string& dev,
                                               u32 nodes) {
   const std::vector<std::string> algos = candidates(dev, "bcast");
   std::vector<std::string> cols{"payload (B)"};
@@ -57,7 +63,7 @@ std::vector<std::vector<double>> size_section(const std::string& dev,
   for (u32 bytes : kSweepSizes) {
     std::vector<std::string> row{std::to_string(bytes)};
     for (usize ai = 0; ai < algos.size(); ++ai) {
-      const double us = cell_us(dev, nodes, bytes, algos[ai]);
+      const double us = cells.at({dev, nodes, bytes, algos[ai]});
       series[ai].push_back(us);
       row.push_back(Table::num(us));
     }
@@ -69,7 +75,7 @@ std::vector<std::vector<double>> size_section(const std::string& dev,
 
 /// Node-sweep section at a fixed payload: winner changes across n expose
 /// the node-dependent switch points in the decision table.
-void node_section(const std::string& dev, u32 bytes) {
+void node_section(const Cells& cells, const std::string& dev, u32 bytes) {
   const std::vector<std::string> algos = candidates(dev, "bcast");
   std::vector<std::string> cols{"nodes"};
   for (const std::string& a : algos) cols.push_back(a + " (us)");
@@ -80,7 +86,7 @@ void node_section(const std::string& dev, u32 bytes) {
     std::string best;
     double best_us = 0;
     for (const std::string& a : algos) {
-      const double us = cell_us(dev, nodes, bytes, a);
+      const double us = cells.at({dev, nodes, bytes, a});
       row.push_back(Table::num(us));
       if (best.empty() || us < best_us) {
         best = a;
@@ -102,23 +108,34 @@ usize algo_index(const std::vector<std::string>& algos,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   header("Ablation: MPI_Bcast algorithm zoo",
          "binomial vs scatter-allgather vs ring/chain (cs/0408034 Fig. 1 "
          "shape); native multicast where the hardware has it");
 
+  // The grid points of the decision-table check below: every device's
+  // size sweep at 8 nodes plus the sock/bbp node sweeps at 64 KiB -- the
+  // same points the size and node sections print.
+  Points points;
+  for (const std::string& dev : kSweepDevices)
+    for (u32 bytes : kSweepSizes) points.push_back({dev, {8, bytes}});
+  for (const std::string& dev : {std::string("sock"), std::string("bbp")})
+    for (u32 nodes : kSweepNodes) points.push_back({dev, {nodes, 65536}});
+  sweep::Runner runner(parse_jobs(argc, argv));
+  const Cells cells = measure_cells(runner, points);
+
   std::cout << "-- SCRAMNet (bbp), 8 nodes --\n";
-  const auto bbp = size_section("bbp", 8);
+  const auto bbp = size_section(cells, "bbp", 8);
   std::cout << "\n-- Fast Ethernet (sock), 8 nodes --\n";
-  const auto sock = size_section("sock", 8);
+  const auto sock = size_section(cells, "sock", 8);
   std::cout << "\n-- RDMA, 8 nodes --\n";
-  const auto rdma = size_section("rdma", 8);
+  const auto rdma = size_section(cells, "rdma", 8);
 
   std::cout << "\n-- winner vs node count, 65536 B payload --\n";
   std::cout << "Fast Ethernet (sock):\n";
-  node_section("sock", 65536);
+  node_section(cells, "sock", 65536);
   std::cout << "SCRAMNet (bbp):\n";
-  node_section("bbp", 65536);
+  node_section(cells, "bbp", 65536);
 
   std::cout << "\nChecks:\n";
   const std::vector<std::string> bbp_algos = candidates("bbp", "bcast");
@@ -161,24 +178,19 @@ int main() {
   // means builtin_table.inc is stale (regenerate: tuner --cc, see
   // docs/collectives.md).
   const tune::DecisionTable& table = tune::DecisionTable::builtin();
-  std::vector<std::pair<std::string, std::pair<u32, u32>>> points;
-  for (const std::string& dev : kSweepDevices)
-    for (u32 bytes : kSweepSizes) points.push_back({dev, {8, bytes}});
-  for (const std::string& dev : {std::string("sock"), std::string("bbp")})
-    for (u32 nodes : kSweepNodes) points.push_back({dev, {nodes, 65536}});
-  u32 cells = 0, agree = 0;
+  u32 checked = 0, agree = 0;
   for (const auto& [dev, nb] : points) {
     const auto [nodes, bytes] = nb;
     std::string best;
     double best_us = 0;
     for (const std::string& a : candidates(dev, "bcast")) {
-      const double us = cell_us(dev, nodes, bytes, a);
+      const double us = cells.at({dev, nodes, bytes, a});
       if (best.empty() || us < best_us) {
         best = a;
         best_us = us;
       }
     }
-    ++cells;
+    ++checked;
     if (table.pick(dev, "bcast", nodes, bytes) == best)
       ++agree;
     else
@@ -188,7 +200,7 @@ int main() {
                 << best << "\n";
   }
   check_shape("decision table picks the measured argmin at all " +
-                  std::to_string(cells) + " measured bcast grid points",
-              agree == cells);
+                  std::to_string(checked) + " measured bcast grid points",
+              agree == checked);
   return 0;
 }

@@ -75,13 +75,13 @@ inline void print_series(const std::vector<u32>& sizes,
 }
 
 /// Check a measured value against the paper's number within a tolerance
-/// band (fraction, e.g. 0.25 = +/-25%).
+/// band (fraction, e.g. 0.25 = +/-25%), printed in `unit`.
 inline bool check(const std::string& what, double paper, double measured,
-                  double tol_frac) {
+                  double tol_frac, const std::string& unit = "us") {
   const bool ok = std::fabs(measured - paper) <= tol_frac * paper;
   std::cout << (ok ? "  [OK]  " : "  [DEV] ") << what << ": paper=" << paper
-            << "us measured=" << Table::num(measured)
-            << "us (tol +/-" << static_cast<int>(tol_frac * 100) << "%)\n";
+            << unit << " measured=" << Table::num(measured) << unit
+            << " (tol +/-" << static_cast<int>(tol_frac * 100) << "%)\n";
   return ok;
 }
 

@@ -94,6 +94,28 @@ void BM_SimQueueChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SimQueueChurn)->Arg(1000)->Arg(10000);
 
+/// The ring-stream posting shape: Arg events posted in one burst at
+/// ascending far-future times 615 ns apart (one fixed-4 packet slot),
+/// starting past the ~33.6 us bucket horizon, then drained. Every event
+/// enters the overflow heap and leaves it once, so ns/event must stay
+/// flat as Arg grows.
+void BM_SimQueueBulkFarPost(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  u64 events = 0;
+  for (auto _ : state) {
+    sim::Simulation sim;
+    for (int i = 0; i < n; ++i) sim.post(us(40) + ns(615) * i, [] {});
+    sim.run();
+    events += sim.events_executed();
+  }
+  // An inverted rate of events/1e9 per second is ns per event (the console
+  // prints it with an "s" suffix; the JSON value is the plain number).
+  state.counters["ns/event"] = benchmark::Counter(
+      static_cast<double>(events) * 1e-9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SimQueueBulkFarPost)->Arg(16384)->Arg(262144);
+
 /// Process context-switch cost (delay -> kernel -> resume round trip).
 void BM_SimProcessSwitch(benchmark::State& state) {
   const int hops = static_cast<int>(state.range(0));

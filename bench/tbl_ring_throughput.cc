@@ -63,8 +63,8 @@ int main(int argc, char** argv) {
   t2.print(std::cout);
 
   std::cout << "\nChecks:\n";
-  check("fixed-mode ring throughput (MB/s)", 6.5, fixed, 0.05);
-  check("variable-mode ring throughput (MB/s)", 16.7, variable, 0.05);
+  check("fixed-mode ring throughput (MB/s)", 6.5, fixed, 0.05, "MB/s");
+  check("variable-mode ring throughput (MB/s)", 16.7, variable, 0.05, "MB/s");
   check_shape("BBP throughput approaches the ring limit for large messages",
               bbp.back() > 10.0);
   return 0;

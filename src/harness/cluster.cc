@@ -115,8 +115,7 @@ SimTime run_hybrid_mpi(u32 nodes, TcpFabricKind bulk_kind, u32 threshold,
   scramnet::Ring ring(sim, sopts.ring);
   auto fabric = make_fabric(sim, nodes, bulk_kind, topts);
   arm_faults(sopts.faults, sim, &ring, fabric.get());
-  const netmodels::TcpConfig stack_cfg =
-      topts.custom_stack ? topts.stack : default_stack(bulk_kind);
+  const netmodels::TcpConfig stack_cfg = default_stack(bulk_kind);
   for (u32 r = 0; r < nodes; ++r) {
     sim.spawn("hybrid-rank" + std::to_string(r), [&, r, stack_cfg](sim::Process& p) {
       scramnet::SimHostPort port(ring, r, p, sopts.host);
@@ -189,8 +188,7 @@ SimTime run_tcp_mpi(u32 nodes, TcpFabricKind kind,
   sim::Simulation sim;
   auto fabric = make_fabric(sim, nodes, kind, opts);
   arm_faults(opts.faults, sim, /*ring=*/nullptr, fabric.get());
-  const netmodels::TcpConfig stack_cfg =
-      opts.custom_stack ? opts.stack : default_stack(kind);
+  const netmodels::TcpConfig stack_cfg = default_stack(kind);
   for (u32 r = 0; r < nodes; ++r) {
     sim.spawn("mpi-" + to_string(kind) + "-rank" + std::to_string(r),
               [&, r, stack_cfg](sim::Process& p) {

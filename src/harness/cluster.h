@@ -54,8 +54,6 @@ struct TcpOptions {
   netmodels::EthernetConfig ethernet;
   netmodels::AtmConfig atm;
   netmodels::MyrinetConfig myrinet;
-  netmodels::TcpConfig stack;   // overridden per-kind unless custom set
-  bool custom_stack = false;
   // Per-byte channel costs are device-owned (SockChannel::pack_cost), so
   // the same LayerCosts work across devices.
   scrmpi::LayerCosts mpi;

@@ -11,10 +11,14 @@
 //
 //  * EventQueue -- a two-level calendar queue. Near-future events land in
 //    one of kBuckets fixed-width time buckets (unsorted append, O(1));
-//    events beyond the bucket horizon go to a sorted overflow heap and
-//    migrate into buckets as the window advances. The bucket currently
-//    being drained is kept as a small binary heap so same-bucket events
-//    pop in exact (time, sequence) order.
+//    events beyond the bucket horizon go to an overflow min-heap, and each
+//    reaches its bucket by one pop_heap when the window gets there: O(log n)
+//    once per event under any posting pattern. Trade-off: BM_SimQueueChurn,
+//    where most of a small overflow heap migrates every window, runs 1.4-1.9x
+//    slower than with a bulk re-partition per window, which made a
+//    far-future burst quadratic (docs/simulator.md). The bucket being
+//    drained is a small binary heap, so same-bucket events pop in exact
+//    (time, sequence) order.
 //
 // Ordering contract (identical to the priority_queue it replaced): events
 // execute in ascending time, ties broken by post order. This is what makes
@@ -134,17 +138,9 @@ class EventQueue {
       return true;
     }
     if (!prime()) return false;
-    Entry e;
-    if (active_.size() == 1) {
-      // Single-entry heap (the normal case with ~16 ns buckets): take it
-      // without the pop_heap shuffle.
-      e = active_.front();
-      active_.clear();
-    } else {
-      std::pop_heap(active_.begin(), active_.end(), EntryAfter{});
-      e = active_.back();
-      active_.pop_back();
-    }
+    std::pop_heap(active_.begin(), active_.end(), EntryAfter{});
+    const Entry e = active_.back();
+    active_.pop_back();
     --calendar_live_;
     ++executed_;
     *out = Popped{e.t, e.node, e.node->invoke};
@@ -239,17 +235,11 @@ class EventQueue {
     }
   }
 
+  /// LIFO freelist: a post reuses the most recently released node, so a
+  /// post/step chain cycles through the same two nodes.
   Node* acquire() {
-    // One-node hot cache: the node released by the event that is posting
-    // right now. Takes a single load off the post/step cycle where the
-    // freelist would chase free_ -> next_free.
-    Node* n = hot_;
-    if (n != nullptr) {
-      hot_ = nullptr;
-      return n;
-    }
     if (free_ == nullptr) grow_pool();
-    n = free_;
+    Node* n = free_;
     free_ = n->next_free;
     return n;
   }
@@ -276,12 +266,8 @@ class EventQueue {
   };
 
   /// Return a node whose callable has already been destroyed (by the fused
-  /// invoke) to the hot cache, falling back to the freelist.
+  /// invoke) to the freelist.
   void release(Node* n) {
-    if (hot_ == nullptr) {
-      hot_ = n;
-      return;
-    }
     n->next_free = free_;
     free_ = n;
   }
@@ -340,24 +326,7 @@ class EventQueue {
   /// Move overflow events now inside the window into their buckets.
   void migrate_overflow() {
     const SimTime horizon = win_start_ + kSpan;
-    // A handful of migrants (the typical window advance) is cheapest via
-    // pop_heap; a bulk migration is cheaper as one partition pass plus a
-    // re-heapify of whatever stays behind. Buckets sort on drain, so the
-    // pop order of the migrated span doesn't matter here.
-    u32 popped = 0;
     while (!overflow_.empty() && overflow_.front().t < horizon) {
-      if (++popped > 8) {
-        auto stay = std::partition(
-            overflow_.begin(), overflow_.end(),
-            [horizon](const Entry& e) { return e.t >= horizon; });
-        for (auto it = stay; it != overflow_.end(); ++it) {
-          bucket_put(
-              static_cast<u32>(static_cast<u64>(it->t - win_start_) >> kBucketShift), *it);
-        }
-        overflow_.erase(stay, overflow_.end());
-        std::make_heap(overflow_.begin(), overflow_.end(), EntryAfter{});
-        return;
-      }
       std::pop_heap(overflow_.begin(), overflow_.end(), EntryAfter{});
       const Entry e = overflow_.back();
       overflow_.pop_back();
@@ -392,16 +361,8 @@ class EventQueue {
       }
       const u32 idx = next_set_bucket(sweep_);
       assert(idx < kBuckets && "window_live_ out of sync with bitmap");
-      auto& b = buckets_[idx];
-      if (b.size() == 1) {
-        // Common case (buckets are ~16 ns wide): no heap needed, and the
-        // bucket keeps its capacity in place for the next window.
-        active_.push_back(b.front());
-        b.clear();
-      } else {
-        active_.swap(b);
-        std::make_heap(active_.begin(), active_.end(), EntryAfter{});
-      }
+      active_.swap(buckets_[idx]);
+      std::make_heap(active_.begin(), active_.end(), EntryAfter{});
       bitmap_[idx >> 6] &= ~(u64{1} << (idx & 63));
       window_live_ -= active_.size();
       sweep_ = idx + 1;
@@ -431,7 +392,6 @@ class EventQueue {
   u32 sweep_ = 0;                             // next bucket index to drain
   usize window_live_ = 0;                     // events currently in buckets
 
-  Node* hot_ = nullptr;   // most recently released node (single-node cache)
   Node* free_ = nullptr;
   std::vector<std::unique_ptr<Node[]>> chunks_;
 };

@@ -99,8 +99,8 @@ void Simulation::dispatch(Process& p) {
 // Simulation
 // ---------------------------------------------------------------------------
 
-Simulation::Simulation(const SimConfig& cfg)
-    : stacks_(cfg.proc_stack_bytes), sink_(&obs::Sink::current()) {}
+Simulation::Simulation()
+    : stacks_(kProcStackBytes), sink_(&obs::Sink::current()) {}
 
 Simulation::~Simulation() {
   // Unwind any process still blocked mid-body so its destructors run.

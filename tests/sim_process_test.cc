@@ -2,11 +2,13 @@
 // and cancellation unwinding, report-text stability, stack-pool recycling,
 // and run-twice determinism.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <numeric>
 #include <string>
 #include <vector>
 
+#include "sim/fiber.h"
 #include "sim/mailbox.h"
 #include "sim/simulation.h"
 
@@ -175,22 +177,19 @@ TEST(SimProcess, StackPoolTracksConcurrentHighWater) {
   EXPECT_EQ(st.pooled, kProcs);
 }
 
-TEST(SimProcess, StackSizeKnobIsPageRoundedAndUsable) {
-  SimConfig cfg;
-  cfg.proc_stack_bytes = 90 * 1024;  // not page-aligned on purpose
-  Simulation sim(cfg);
-  EXPECT_GE(sim.proc_stack_bytes(), 90u * 1024);
-  EXPECT_EQ(sim.proc_stack_bytes() % 4096, 0u);
-  // Burn most of the configured stack to prove it is really there.
-  u64 sum = 0;
-  sim.spawn("deep", [&](Process& p) {
-    p.delay(ns(1));
-    volatile u8 buf[64 * 1024];
-    for (u32 i = 0; i < sizeof(buf); i += 512) buf[i] = static_cast<u8>(i);
-    sum += buf[0] + buf[sizeof(buf) - 512];
-  });
-  sim.run();
-  EXPECT_EQ(sim.live_processes(), 0u);
+TEST(SimProcess, StackPoolRoundsToWholePages) {
+  detail::StackPool pool(90 * 1024);  // not page-aligned on purpose
+  const usize page = static_cast<usize>(sysconf(_SC_PAGESIZE));
+  EXPECT_GE(pool.stack_bytes(), 90u * 1024);
+  EXPECT_EQ(pool.stack_bytes() % page, 0u);
+  // Every rounded byte is mapped and writable, guard page excluded.
+  const detail::FiberStack s = pool.acquire();
+  EXPECT_EQ(s.usable_bytes(), pool.stack_bytes());
+  EXPECT_EQ(s.guard_bytes, page);
+  auto* lo = static_cast<volatile u8*>(s.limit());
+  for (usize off = 0; off < s.usable_bytes(); off += page) lo[off] = 1;
+  lo[s.usable_bytes() - 1] = 1;
+  pool.release(s);
 }
 
 // Run-twice determinism for the scheduler specifically (mirrors

@@ -4,7 +4,9 @@
 // safety valve, and bit-reproducibility of a full device-model run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <numeric>
 #include <vector>
 
 #include "scramnet/ring.h"
@@ -41,34 +43,69 @@ TEST(EventQueueTest, SlotKeepsEarlierPushOnTie) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));
 }
 
-TEST(EventQueueTest, GlobalOrderAcrossBucketsAndOverflow) {
-  // Pseudo-random times spanning several bucket windows and the overflow
-  // horizon (~33.6 us): pops must come out sorted by (t, insertion seq).
+// Push every time in order, then drain: the pops must be exactly the
+// pushes stably sorted by time, i.e. (t, insertion seq) order.
+void expect_time_then_push_order(const std::vector<SimTime>& times) {
   sim::EventQueue q;
-  struct Rec {
-    SimTime t;
-    int seq;
-  };
-  std::vector<Rec> popped;
-  u32 lcg = 12345;
-  std::vector<SimTime> times;
-  for (int i = 0; i < 2000; ++i) {
-    lcg = lcg * 1664525u + 1013904223u;
-    // Mix of in-window, same-bucket, and far-overflow times.
-    const SimTime t = static_cast<SimTime>(lcg % 3 == 0 ? lcg % 4096
-                                                        : lcg % 90'000'000u);
-    times.push_back(t);
-    q.push(t, [&popped, t, i] { popped.push_back({t, i}); });
-  }
+  std::vector<usize> popped;
+  for (usize i = 0; i < times.size(); ++i)
+    q.push(times[i], [&popped, i] { popped.push_back(i); });
   sim::EventQueue::Popped ev;
   while (q.pop(&ev)) q.run_and_release(ev);
-  ASSERT_EQ(popped.size(), times.size());
-  for (usize i = 1; i < popped.size(); ++i) {
-    ASSERT_LE(popped[i - 1].t, popped[i].t) << "time order violated at " << i;
-    if (popped[i - 1].t == popped[i].t)
-      ASSERT_LT(popped[i - 1].seq, popped[i].seq) << "tie order violated at " << i;
-  }
+  std::vector<usize> expected(times.size());
+  std::iota(expected.begin(), expected.end(), usize{0});
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](usize a, usize b) { return times[a] < times[b]; });
+  ASSERT_EQ(popped.size(), expected.size());
+  for (usize i = 0; i < popped.size(); ++i)
+    ASSERT_EQ(popped[i], expected[i]) << "order violated at pop " << i;
   EXPECT_GT(q.stats().overflow_posted, 0u) << "test never exercised overflow";
+}
+
+TEST(EventQueueTest, GlobalOrderAcrossBucketsAndOverflow) {
+  // Pseudo-random times spanning several bucket windows and the overflow
+  // horizon (~33.6 us).
+  {
+    SCOPED_TRACE("random mix");
+    std::vector<SimTime> times;
+    u32 lcg = 12345;
+    for (int i = 0; i < 2000; ++i) {
+      lcg = lcg * 1664525u + 1013904223u;
+      // Mix of in-window, same-bucket, and far-overflow times.
+      times.push_back(static_cast<SimTime>(lcg % 3 == 0 ? lcg % 4096
+                                                         : lcg % 90'000'000u));
+    }
+    expect_time_then_push_order(times);
+  }
+  // The ring-stream shape: one burst of 65,536 ascending far-future posts
+  // 615 ns apart (a fixed-4 packet slot), starting past the horizon, so
+  // every window advance pulls dozens of events out of the overflow heap.
+  // Runs of equal timestamps sit one picosecond either side of each window
+  // edge. The leading t = 0 push takes the hot slot, so the first window
+  // starts at `base` and every later one at base + m * span (the run there
+  // is the earliest event left). Half of every run is pushed mid-burst and
+  // half after the whole stream, so ties span the burst.
+  {
+    SCOPED_TRACE("ring-stream burst");
+    constexpr SimTime kSpan = SimTime{2048} << 14;  // calendar window
+    const SimTime base = us(34);
+    const SimTime step = ns(615);
+    std::vector<SimTime> times{0}, late;
+    SimTime edge = base + kSpan;
+    for (int i = 0; i < 65'536; ++i) {
+      const SimTime t = base + step * i;
+      while (edge <= t) {
+        for (const SimTime e : {edge - 1, edge}) {
+          times.insert(times.end(), 2, e);
+          late.insert(late.end(), 2, e);
+        }
+        edge += kSpan;
+      }
+      times.push_back(t);
+    }
+    times.insert(times.end(), late.begin(), late.end());
+    expect_time_then_push_order(times);
+  }
 }
 
 TEST(EventQueueTest, ReschedulingAcrossWindowsKeepsOrder) {
