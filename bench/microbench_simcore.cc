@@ -386,7 +386,7 @@ void BM_SweepThroughput(benchmark::State& state) {
         sim.run();
         return sim.events_executed();
       }));
-    for (auto& f : futs) done += f.get() ? 1 : 0;
+    for (auto& f : futs) done += f.get() ? 1u : 0u;
   }
   state.counters["jobs/s"] =
       benchmark::Counter(static_cast<double>(done), benchmark::Counter::kIsRate);

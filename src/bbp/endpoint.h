@@ -116,7 +116,7 @@ struct EndpointStats {
 class Endpoint {
  public:
   /// `port` must outlive the endpoint. `me` is this process's BBP rank in
-  /// [0, procs); typically port.node(), but decoupled so several BBP
+  /// [0, procs); typically the port's node id, but decoupled so several BBP
   /// processes can share a node in tests.
   Endpoint(scramnet::MemPort& port, u32 procs, u32 me, Config cfg = {});
 

@@ -18,10 +18,6 @@ class MemPort {
  public:
   virtual ~MemPort() = default;
 
-  /// This endpoint's node id on the ring.
-  virtual u32 node() const = 0;
-  /// Number of nodes sharing the replicated memory.
-  virtual u32 nodes() const = 0;
   /// Size of the replicated bank in 32-bit words.
   virtual u32 bank_words() const = 0;
 

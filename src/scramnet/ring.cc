@@ -13,7 +13,6 @@ namespace scrnet::scramnet {
 Ring::Ring(sim::Simulation& sim, RingConfig cfg) : sim_(sim), cfg_(cfg) {
   if (!cfg_.valid()) throw std::invalid_argument("invalid RingConfig");
   banks_.assign(cfg_.nodes, std::vector<u32>(cfg_.bank_words, 0u));
-  tx_free_.assign(cfg_.nodes, 0);
   irq_.resize(cfg_.nodes);
   link_failed_.assign(cfg_.nodes, false);
   speed_factor_.assign(cfg_.nodes, 1.0);
@@ -52,13 +51,11 @@ Status Ring::set_node_speed_factor(u32 node, double factor) {
 SimTime Ring::inject_packet(u32 src, u32 word_addr, std::span<const u32> words,
                             SimTime ready_at) {
   const u32 payload = static_cast<u32>(words.size()) * 4u;
-  // A wrong-speed NIC serializes slower, holding both its insertion engine
-  // and the shared medium longer (register insertion: the ring waits on the
-  // inserting node). Factor 1.0 is the untouched nominal path.
+  // A wrong-speed NIC serializes slower, holding the shared medium longer
+  // (register insertion: the ring waits on the inserting node). Factor 1.0
+  // is the untouched nominal path.
   const SimTime occ = dial_scale(cfg_.packet_occupancy(payload), speed_factor_[src]);
-  SimTime start = std::max({ready_at, tx_free_[src], ring_free_});
-  const SimTime done = start + occ;
-  tx_free_[src] = done;
+  const SimTime done = std::max(ready_at, ring_free_) + occ;
   ring_free_ = done;
   packets_.inc();
   words_.inc(words.size());
@@ -218,9 +215,10 @@ void Ring::host_write_block(u32 node, u32 word_addr, std::span<const u32> words,
   // the TX engine cuts through: it starts serializing a packet as soon as
   // its first words arrive (ring rate ~ burst rate, so the FIFO never runs
   // dry mid-packet). A packet is therefore ready at its *first* word's
-  // arrival; per-sender FIFO ordering is still enforced by the insertion
-  // engine (tx_free_), and delivery of a chunk always trails the host's
-  // write of that chunk because occupancy >= the chunk's pacing span.
+  // arrival; per-sender FIFO ordering holds because the medium serializes
+  // packets one at a time in injection order, and delivery of a chunk
+  // always trails the host's write of that chunk because occupancy >= the
+  // chunk's pacing span.
   auto& bank = banks_[node];
   // The whole burst lands in the local bank within this synchronous call
   // (no event can interleave), so write it in one pass instead of building
@@ -271,8 +269,9 @@ void Ring::inject_write(const PendingWrite& w, const u32* payload) {
   while (off < w.nwords) {
     const u32 n = std::min(chunk_words, w.nwords - off);
     const SimTime ready = now + static_cast<SimTime>(off) * w.word_period;
-    inject_packet(w.node, w.word_addr + off, std::span<const u32>(payload + off, n),
-                  ready);
+    const std::span<const u32> words(payload + off, n);
+    const SimTime done = inject_packet(w.node, w.word_addr + off, words, ready);
+    if (uplink_) uplink_(w.node, w.word_addr + off, words, done);
     off += n;
   }
 }
@@ -295,20 +294,12 @@ void Ring::set_interrupt(u32 node, u32 lo_addr, u32 hi_addr,
   irq_[node] = IrqRange{lo_addr, hi_addr, std::move(handler)};
 }
 
-void Ring::clear_interrupt(u32 node) { irq_[node] = IrqRange{}; }
-
 void Ring::publish_counters(obs::Counters& c, std::string_view group) const {
   c.add(group, "packets_sent", packets_sent());
   c.add(group, "words_replicated", words_replicated());
   c.add(group, "interrupts_fired", interrupts_fired());
   c.add(group, "packets_lost", packets_lost());
   c.add(group, "switchovers", switchovers());
-}
-
-SimTime Ring::full_propagation_bound() const {
-  return cfg_.packet_occupancy(cfg_.mode == PacketMode::kFixed4 ? 4u
-                                                                : cfg_.max_var_packet_bytes) +
-         static_cast<SimTime>(cfg_.nodes - 1) * cfg_.hop_latency;
 }
 
 }  // namespace scrnet::scramnet

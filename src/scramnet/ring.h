@@ -9,10 +9,11 @@
 // at different nodes in different relative orders -- the non-coherence the
 // paper describes in Section 2.
 //
-// Bandwidth is modeled at two choke points: a per-node insertion engine
-// and the shared ring medium, both running at the mode's data rate. Host
-// writes issued at the same picosecond reach the medium in node order,
-// whichever process happened to run first (see seq_flush).
+// Bandwidth is modeled at one choke point, the shared ring medium, running
+// at the mode's data rate: a packet starts serializing once it is ready and
+// the medium is free. One sender's packets therefore leave in the order it
+// issued them. Host writes issued at the same picosecond reach the medium
+// in node order, whichever process happened to run first (see seq_flush).
 #pragma once
 
 #include <deque>
@@ -38,10 +39,8 @@ class Ring {
  public:
   Ring(sim::Simulation& sim, RingConfig cfg);
 
-  const RingConfig& config() const { return cfg_; }
   u32 nodes() const { return cfg_.nodes; }
   u32 bank_words() const { return cfg_.bank_words; }
-  sim::Simulation& simulation() { return sim_; }
 
   /// Host writes one word at `node` (immediate locally, replicated on ring).
   void host_write(u32 node, u32 word_addr, u32 value);
@@ -60,11 +59,26 @@ class Ring {
   /// receive ablation (the paper's "future work" direction).
   void set_interrupt(u32 node, u32 lo_addr, u32 hi_addr,
                      std::function<void(u32 addr)> handler);
-  void clear_interrupt(u32 node);
 
-  /// Virtual time at which the write issued at `node` right now would have
-  /// fully propagated to every other node (useful for tests).
-  SimTime full_propagation_bound() const;
+  // -- bridging (scramnet::RingHierarchy) ----------------------------------
+
+  /// Called once per host-originated packet, right after it is scheduled
+  /// onto the medium: the sender, the packet's words and the time it
+  /// finishes serializing. Packets injected with inject_packet do not
+  /// trigger it.
+  using Uplink = std::function<void(u32 src, u32 word_addr,
+                                    std::span<const u32> words, SimTime done)>;
+  void set_uplink(Uplink fn) { uplink_ = std::move(fn); }
+
+  /// Schedule one packet of `words` from `src`; it serializes no earlier
+  /// than `ready_at` (which may lie in the future) and is delivered to
+  /// every node but `src`, whose bank the caller updates. Returns when the
+  /// packet finishes serializing onto the ring.
+  SimTime inject_packet(u32 src, u32 word_addr, std::span<const u32> words,
+                        SimTime ready_at);
+
+  /// Apply a packet arriving at `dst`: bank write plus interrupt check.
+  void deliver(u32 dst, u32 word_addr, const u32* words, u32 nwords);
 
   // -- fault injection ------------------------------------------------------
 
@@ -136,12 +150,6 @@ class Ring {
     SimTime word_period = 0;  // block pacing; 0 for single-word writes
   };
 
-  /// Schedule one packet of `words` (already applied to the sender's bank);
-  /// earliest injection time is `ready_at`. Returns when the packet
-  /// finishes serializing onto the ring.
-  SimTime inject_packet(u32 src, u32 word_addr, std::span<const u32> words,
-                        SimTime ready_at);
-
   /// Delivery time of hop `k` for this walk (same formula the per-node
   /// event posting used: done + k*hop, pushed past switchover on the
   /// redundant ring when the path was broken at injection).
@@ -152,8 +160,6 @@ class Ring {
 
   Walk* acquire_walk();
   void release_walk(Walk* w);
-
-  void deliver(u32 dst, u32 word_addr, const u32* words, u32 nwords);
 
   /// Record a host write (its words are already in the sender's bank) and
   /// make sure a flush event at the current timestamp is queued.
@@ -168,7 +174,6 @@ class Ring {
   sim::Simulation& sim_;
   RingConfig cfg_;
   std::vector<std::vector<u32>> banks_;     // [node][word]
-  std::vector<SimTime> tx_free_;            // per-node insertion engine
   SimTime ring_free_ = 0;                   // shared medium
   std::vector<IrqRange> irq_;               // per-node interrupt watch
   std::vector<bool> link_failed_;           // hop node -> node+1 broken
@@ -179,6 +184,7 @@ class Ring {
   std::vector<PendingWrite> seq_writes_;    // same-instant write batch
   std::vector<u32> seq_payload_;            // its payload arena
   bool seq_flush_posted_ = false;
+  Uplink uplink_;                           // bridge tap; empty on a flat ring
   Counter packets_, words_, lost_, switchovers_, irq_fired_;
 };
 

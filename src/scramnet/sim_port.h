@@ -1,5 +1,6 @@
 // SimHostPort: MemPort implementation binding one simulated process to one
-// node of the discrete-event Ring, with PCI-era PIO timing.
+// node of the discrete-event Ring, with PCI-era PIO timing. A host on a
+// RingHierarchy attaches to its leaf Ring the same way.
 #pragma once
 
 #include <cassert>
@@ -17,8 +18,6 @@ class SimHostPort final : public MemPort {
   SimHostPort(Ring& ring, u32 node, sim::Process& proc, HostTimings timings = {})
       : ring_(ring), node_(node), proc_(proc), t_(timings) {}
 
-  u32 node() const override { return node_; }
-  u32 nodes() const override { return ring_.nodes(); }
   u32 bank_words() const override { return ring_.bank_words(); }
 
   /// Attach this port's fault dials (fault::FaultPlan owns them and mutates
@@ -68,8 +67,8 @@ class SimHostPort final : public MemPort {
   void dma_write(u32 word_addr, std::span<const u32> words) override {
     if (words.empty()) return;
     // CPU: descriptor + doorbell, then the NIC masters the bus while the
-    // process is free; ordering with later port writes is preserved by the
-    // ring's per-sender insertion engine (tx_free_).
+    // process is free; ordering with later port writes is preserved because
+    // the ring medium serializes packets in injection order.
     proc_.delay(io_t(t_.dma_setup));
     ring_.host_write_block(node_, word_addr, words, io_t(t_.dma_per_word));
     proc_.delay(io_t(t_.dma_complete));
@@ -93,9 +92,6 @@ class SimHostPort final : public MemPort {
     pending_irqs_ = 0;
     proc_.delay(t_.irq_dispatch);  // handler + process wakeup
   }
-
-  const HostTimings& timings() const { return t_; }
-  sim::Process& process() { return proc_; }
 
  private:
   SimTime io_t(SimTime t) const { return dials_ ? dial_scale(t, dials_->io) : t; }

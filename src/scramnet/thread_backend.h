@@ -44,32 +44,6 @@ class ThreadBackend {
   std::vector<std::unique_ptr<std::atomic<u32>[]>> banks_;
 };
 
-/// MemPort over ThreadBackend. Timing hooks are no-ops (real threads run at
-/// real speed); poll_pause yields the OS thread.
-class ThreadPort final : public MemPort {
- public:
-  ThreadPort(ThreadBackend& backend, u32 node) : b_(backend), node_(node) {}
-
-  u32 node() const override { return node_; }
-  u32 nodes() const override { return b_.nodes(); }
-  u32 bank_words() const override { return b_.bank_words(); }
-
-  void write_u32(u32 word_addr, u32 value) override { b_.write(node_, word_addr, value); }
-  u32 read_u32(u32 word_addr) override { return b_.read(node_, word_addr); }
-  void write_block(u32 word_addr, std::span<const u32> words) override {
-    b_.write_block(node_, word_addr, words);
-  }
-  void read_block(u32 word_addr, std::span<u32> out) override {
-    b_.read_block(node_, word_addr, out);
-  }
-  void poll_pause() override { std::this_thread::yield(); }
-  void cpu_delay(SimTime) override {}
-
- private:
-  ThreadBackend& b_;
-  u32 node_;
-};
-
 /// DelayedThreadBackend: like ThreadBackend but remote banks are updated by
 /// a per-node applier thread draining per-sender FIFO queues, so remote
 /// visibility is asynchronous and different nodes can observe concurrent
@@ -116,13 +90,13 @@ class DelayedThreadBackend {
   std::vector<std::unique_ptr<NodeApplier>> appliers_;
 };
 
-/// MemPort over DelayedThreadBackend.
-class DelayedThreadPort final : public MemPort {
+/// MemPort over either thread backend. Timing hooks are no-ops (real
+/// threads run at real speed); poll_pause yields the OS thread.
+template <typename Backend>
+class BasicThreadPort final : public MemPort {
  public:
-  DelayedThreadPort(DelayedThreadBackend& backend, u32 node) : b_(backend), node_(node) {}
+  BasicThreadPort(Backend& backend, u32 node) : b_(backend), node_(node) {}
 
-  u32 node() const override { return node_; }
-  u32 nodes() const override { return b_.nodes(); }
   u32 bank_words() const override { return b_.bank_words(); }
 
   void write_u32(u32 word_addr, u32 value) override { b_.write(node_, word_addr, value); }
@@ -137,8 +111,11 @@ class DelayedThreadPort final : public MemPort {
   void cpu_delay(SimTime) override {}
 
  private:
-  DelayedThreadBackend& b_;
+  Backend& b_;
   u32 node_;
 };
+
+using ThreadPort = BasicThreadPort<ThreadBackend>;
+using DelayedThreadPort = BasicThreadPort<DelayedThreadBackend>;
 
 }  // namespace scrnet::scramnet

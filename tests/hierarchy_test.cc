@@ -5,6 +5,7 @@
 #include "bbp/endpoint.h"
 #include "common/bytes.h"
 #include "scramnet/hierarchy.h"
+#include "scramnet/sim_port.h"
 #include "scrshm/barrier.h"
 
 namespace scrnet::scramnet {
@@ -19,8 +20,8 @@ std::vector<u8> make_span_msg() {
 HierarchyConfig small_h() {
   HierarchyConfig cfg;
   cfg.leaf_rings = 3;
-  cfg.nodes_per_ring = 4;
-  cfg.bank_words = 1u << 14;
+  cfg.leaf.nodes = 4;
+  cfg.leaf.bank_words = 1u << 14;
   return cfg;
 }
 
@@ -89,8 +90,58 @@ TEST(Hierarchy, BackbonePacketAccounting) {
   h.host_write(0, 1, 5);
   h.host_write(7, 2, 6);
   sim.run();
-  EXPECT_EQ(h.packets_sent(), 2u);
   EXPECT_EQ(h.backbone_packets(), 2u);
+  // Each leaf carries its own host packets plus one down-leg per packet
+  // from another leaf: 2 host packets + 2 * 2 re-serializations.
+  u64 leaf_packets = 0;
+  for (u32 r = 0; r < 3; ++r) leaf_packets += h.leaf_of(r * 4).packets_sent();
+  EXPECT_EQ(leaf_packets, 6u);
+}
+
+TEST(Hierarchy, SamePicosecondWritesCrossTheBackboneInNodeOrder) {
+  // Nodes 2 and 1 share leaf 0 and write at the same picosecond; node 2's
+  // process runs first. The leaf medium arbitrates the tie in node order,
+  // so node 1's word reaches node 9 on leaf 2 first.
+  sim::Simulation sim;
+  RingHierarchy h(sim, small_h());
+  for (u32 n : {2u, 1u})
+    sim.spawn("n" + std::to_string(n), [&h, n](sim::Process&) {
+      h.host_write(n, 20 + n, n);
+    });
+  SimTime seen1 = 0, seen2 = 0;
+  sim.spawn("probe", [&](sim::Process& p) {
+    while (seen1 == 0 || seen2 == 0) {
+      p.delay(ns(10));
+      if (seen1 == 0 && h.host_read(9, 21) == 1) seen1 = p.now();
+      if (seen2 == 0 && h.host_read(9, 22) == 2) seen2 = p.now();
+    }
+  });
+  sim.run();
+  EXPECT_LT(seen1, seen2) << "node 1's word at " << to_us(seen1)
+                          << " us, node 2's at " << to_us(seen2) << " us";
+}
+
+TEST(Hierarchy, WatchedWriteWakesHostsOnOtherLeaves) {
+  // Interrupt-driven receive across the hierarchy: node 4 is a bridge
+  // (reached by the backbone), node 9 sits behind one (reached by a
+  // down-leg walk). Without an interrupt at either, the watcher deadlocks.
+  sim::Simulation sim;
+  RingHierarchy h(sim, small_h());
+  u32 woke = 0;
+  for (u32 n : {4u, 9u})
+    sim.spawn("w" + std::to_string(n), [&, n](sim::Process& p) {
+      SimHostPort port(h.leaf_of(n), h.local_of(n), p);
+      port.watch_range(30, 31);
+      port.wait_write();
+      EXPECT_EQ(port.read_u32(30), 77u);
+      ++woke;
+    });
+  sim.spawn("tx", [&](sim::Process& p) {
+    SimHostPort port(h.leaf_of(1), h.local_of(1), p);
+    port.write_u32(30, 77);
+  });
+  sim.run();
+  EXPECT_EQ(woke, 2u);
 }
 
 TEST(Hierarchy, BbpRunsAcrossRings) {
@@ -100,7 +151,7 @@ TEST(Hierarchy, BbpRunsAcrossRings) {
   RingHierarchy h(sim, small_h());
   u32 got_mcast = 0;
   sim.spawn("sender", [&](sim::Process& p) {
-    HierarchyPort port(h, 1, p);
+    SimHostPort port(h.leaf_of(1), h.local_of(1), p);
     bbp::Endpoint ep(port, 12, 1);
     ASSERT_TRUE(ep.send(6, make_span_msg()).ok());
     std::vector<u32> dests;
@@ -112,7 +163,7 @@ TEST(Hierarchy, BbpRunsAcrossRings) {
   for (u32 r = 0; r < 12; ++r) {
     if (r == 1) continue;
     sim.spawn("rx" + std::to_string(r), [&, r](sim::Process& p) {
-      HierarchyPort port(h, r, p);
+      SimHostPort port(h.leaf_of(r), h.local_of(r), p);
       bbp::Endpoint ep(port, 12, r);
       std::vector<u8> buf(24);
       if (r == 6) {  // gets the p2p message first (in-order from sender 1)
@@ -134,14 +185,14 @@ TEST(Hierarchy, ShmBarrierAcrossRings) {
   sim::Simulation sim;
   HierarchyConfig cfg = small_h();
   cfg.leaf_rings = 2;
-  cfg.nodes_per_ring = 3;
+  cfg.leaf.nodes = 3;
   RingHierarchy h(sim, cfg);
   constexpr u32 kN = 6, kPhases = 5;
   std::vector<u32> arrived(kPhases, 0);
   bool ok = true;
   for (u32 id = 0; id < kN; ++id) {
     sim.spawn("p" + std::to_string(id), [&, id](sim::Process& p) {
-      HierarchyPort port(h, id, p);
+      SimHostPort port(h.leaf_of(id), h.local_of(id), p);
       scrshm::Arena arena(0, 1024);
       scrshm::DisseminationBarrier bar(port, arena, kN, id);
       for (u32 phase = 0; phase < kPhases; ++phase) {

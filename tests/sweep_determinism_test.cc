@@ -44,7 +44,7 @@ TEST(Runner, ResultsArriveInSubmissionOrder) {
   std::vector<sweep::Future<int>> futs;
   for (int i = 0; i < 32; ++i)
     futs.push_back(r.submit([i] { return i * i; }));
-  for (int i = 0; i < 32; ++i) EXPECT_EQ(futs[i].get(), i * i);
+  for (int i = 0; i < 32; ++i) EXPECT_EQ(futs[static_cast<usize>(i)].get(), i * i);
 }
 
 TEST(Runner, ExceptionsRethrowAtGet) {
