@@ -42,12 +42,6 @@ class Bbp {
     return ep_->recv(src, buf);
   }
 
-  /// Receive from any source.
-  Result<RecvInfo> RecvAny(std::span<u8> buf) {
-    if (!ep_) return Status::Unavailable("bbp: not initialized");
-    return ep_->recv_any(buf);
-  }
-
   /// bbp_Mcast: single-step multicast to an explicit destination list.
   Status Mcast(std::span<const u32> dests, std::span<const u8> payload) {
     if (!ep_) return Status::Unavailable("bbp: not initialized");
@@ -62,7 +56,6 @@ class Bbp {
     assert(ep_);
     return *ep_;
   }
-  bool initialized() const { return ep_ != nullptr; }
 
  private:
   std::unique_ptr<Endpoint> ep_;

@@ -50,14 +50,25 @@ Endpoint::Endpoint(scramnet::MemPort& port, u32 procs, u32 me, Config cfg)
   }
 }
 
-void Endpoint::blocked_wait() {
-  // A configured timeout needs time to advance even when the awaited write
-  // never arrives; an interrupt sleep would park forever, so poll instead.
-  if (mode_ == RecvMode::kInterrupt && cfg_.poll_timeout == 0) {
-    port_.wait_write();
-  } else {
-    port_.poll_pause();
+template <typename Ready>
+Status Endpoint::block_until(Ready&& ready, const char* what) {
+  const SimTime deadline =
+      cfg_.poll_timeout > 0 ? port_.now() + cfg_.poll_timeout : 0;
+  while (!ready()) {
+    if (deadline != 0 && port_.now() >= deadline) {
+      ++stats_.timeouts;
+      return Status::TimedOut(std::string("bbp: ") + what +
+                              " waited out poll_timeout");
+    }
+    // A configured timeout needs time to advance even when the awaited write
+    // never arrives; an interrupt sleep would park forever, so poll instead.
+    if (mode_ == RecvMode::kInterrupt && cfg_.poll_timeout == 0) {
+      port_.wait_write();
+    } else {
+      port_.poll_pause();
+    }
   }
+  return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -103,29 +114,33 @@ Result<u32> Endpoint::alloc_slot(u32 len_bytes, bool block) {
     return id;
   };
 
-  bool stalled = false;
-  const SimTime deadline = wait_deadline();
-  for (;;) {
-    // First pass uses the current state; the second reconciles ACKs (GC)
-    // and retries before deciding to stall or fail.
-    for (int pass = 0; pass < 2; ++pass) {
-      if (pass == 1) collect_garbage();
-      if (live_.size() < cfg_.slots) {
-        if (auto off = try_space()) return accept(*off);
-      }
+  // One pass: try the current state, then reconcile ACKs (GC) and retry.
+  std::optional<u32> off;
+  auto pass = [&] {
+    for (int p = 0; p < 2; ++p) {
+      if (p == 1) collect_garbage();
+      if (live_.size() < cfg_.slots && (off = try_space())) return true;
     }
-    if (!block) return Status::NoSpace("billboard full");
-    if (deadline_passed(deadline)) {
-      ++stats_.timeouts;
-      return Status::TimedOut("bbp: send waited out poll_timeout for space");
-    }
-    if (!stalled) {
-      ++stats_.send_stalls;
-      TRACE_INSTANT(obs::Layer::kBbp, me_, "bbp.send_stall", port_);
-      stalled = true;
-    }
-    blocked_wait();
+    return false;
+  };
+  if (!block) {
+    if (!pass()) return Status::NoSpace("billboard full");
+    return accept(*off);
   }
+  bool stalled = false;
+  const Status st = block_until(
+      [&] {
+        if (pass()) return true;
+        if (!stalled) {
+          ++stats_.send_stalls;
+          TRACE_INSTANT(obs::Layer::kBbp, me_, "bbp.send_stall", port_);
+          stalled = true;
+        }
+        return false;
+      },
+      "send");
+  if (!st.ok()) return st;
+  return accept(*off);
 }
 
 void Endpoint::collect_garbage() {
@@ -251,15 +266,6 @@ Status Endpoint::mcast(std::span<const u32> dests, std::span<const u8> payload) 
   return post(set, payload, /*block=*/true);
 }
 
-Status Endpoint::try_mcast(std::span<const u32> dests, std::span<const u8> payload) {
-  DestSet set;
-  for (u32 d : dests) {
-    if (d >= layout_.procs) return Status::InvalidArg("bbp: bad dest");
-    set.set(d);
-  }
-  return post(set, payload, /*block=*/false);
-}
-
 // ---------------------------------------------------------------------------
 // Receive side
 // ---------------------------------------------------------------------------
@@ -320,50 +326,38 @@ Result<RecvInfo> Endpoint::deliver(Incoming msg, std::span<u8> buf) {
 Result<RecvInfo> Endpoint::recv(u32 src, std::span<u8> buf) {
   TRACE_SPAN(obs::Layer::kBbp, me_, "bbp.recv", port_);
   if (src >= layout_.procs) return Status::InvalidArg("bbp: bad src");
-  const SimTime deadline = wait_deadline();
-  while (inq_[src].empty()) {
-    if (!poll_sender(src)) {
-      if (deadline_passed(deadline)) {
-        ++stats_.timeouts;
-        return Status::TimedOut("bbp: recv waited out poll_timeout");
-      }
-      blocked_wait();
-    }
-  }
+  const Status st = block_until(
+      [&] { return !inq_[src].empty() || poll_sender(src); }, "recv");
+  if (!st.ok()) return st;
   Incoming msg = inq_[src].front();
   inq_[src].pop_front();
   return deliver(msg, buf);
 }
 
-Result<RecvInfo> Endpoint::recv_any(std::span<u8> buf) {
-  TRACE_SPAN(obs::Layer::kBbp, me_, "bbp.recv_any", port_);
-  const SimTime deadline = wait_deadline();
-  for (;;) {
-    for (u32 i = 0; i < layout_.procs; ++i) {
-      const u32 s = (rr_next_ + i) % layout_.procs;
-      if (!inq_[s].empty()) {
-        rr_next_ = (s + 1) % layout_.procs;
-        Incoming msg = inq_[s].front();
-        inq_[s].pop_front();
-        return deliver(msg, buf);
-      }
-    }
-    if (!poll_all()) {
-      if (deadline_passed(deadline)) {
-        ++stats_.timeouts;
-        return Status::TimedOut("bbp: recv_any waited out poll_timeout");
-      }
-      blocked_wait();
-    }
-  }
-}
-
-std::optional<u32> Endpoint::msg_avail() {
-  port_.cpu_delay(cfg_.cpu.msg_avail);
+std::optional<u32> Endpoint::next_queued() const {
   for (u32 i = 0; i < layout_.procs; ++i) {
     const u32 s = (rr_next_ + i) % layout_.procs;
     if (!inq_[s].empty()) return s;
   }
+  return std::nullopt;
+}
+
+Result<RecvInfo> Endpoint::recv_any(std::span<u8> buf) {
+  TRACE_SPAN(obs::Layer::kBbp, me_, "bbp.recv_any", port_);
+  std::optional<u32> s;
+  const Status st = block_until(
+      [&] { return (s = next_queued()) || (poll_all() && (s = next_queued())); },
+      "recv_any");
+  if (!st.ok()) return st;
+  rr_next_ = (*s + 1) % layout_.procs;
+  Incoming msg = inq_[*s].front();
+  inq_[*s].pop_front();
+  return deliver(msg, buf);
+}
+
+std::optional<u32> Endpoint::msg_avail() {
+  port_.cpu_delay(cfg_.cpu.msg_avail);
+  if (auto s = next_queued()) return s;
   // Poll flag words round-robin and stop at the first sender with news --
   // an avail check does not need to sweep every sender.
   for (u32 i = 0; i < layout_.procs; ++i) {
@@ -390,18 +384,13 @@ std::optional<u32> Endpoint::peek_len(u32 src) {
 
 Status Endpoint::drain() {
   TRACE_SPAN(obs::Layer::kBbp, me_, "bbp.drain", port_);
-  const SimTime deadline = wait_deadline();
-  while (inflight() > 0) {
-    collect_garbage();
-    if (inflight() > 0) {
-      if (deadline_passed(deadline)) {
-        ++stats_.timeouts;
-        return Status::TimedOut("bbp: drain waited out poll_timeout");
-      }
-      blocked_wait();
-    }
-  }
-  return Status::Ok();
+  return block_until(
+      [&] {
+        if (inflight() == 0) return true;
+        collect_garbage();
+        return inflight() == 0;
+      },
+      "drain");
 }
 
 u32 Endpoint::inflight() const {

@@ -136,7 +136,6 @@ class Endpoint {
   /// Non-blocking send attempt; kNoSpace if the billboard is full even
   /// after garbage collection.
   Status try_send(u32 dest, std::span<const u8> payload);
-  Status try_mcast(std::span<const u32> dests, std::span<const u8> payload);
 
   /// Blocking receive from a specific source; kTimedOut once
   /// cfg.poll_timeout (if nonzero) elapses with nothing delivered.
@@ -235,16 +234,16 @@ class Endpoint {
 
   u32 data_end() const { return layout_.data_base(me_) + layout_.data_words; }
 
-  /// Back off while blocked: poll_pause or interrupt sleep per mode_
-  /// (always poll_pause when a poll_timeout is configured).
-  void blocked_wait();
-  /// Deadline for the blocking call starting now; 0 = none.
-  SimTime wait_deadline() const {
-    return cfg_.poll_timeout > 0 ? port_.now() + cfg_.poll_timeout : 0;
-  }
-  bool deadline_passed(SimTime deadline) const {
-    return deadline != 0 && port_.now() >= deadline;
-  }
+  /// Round-robin scan (from rr_next_) for a sender with a queued message.
+  std::optional<u32> next_queued() const;
+
+  /// The endpoint's only blocking loop. Runs `ready` (the caller's poll or
+  /// GC pass) until it returns true, backing off between failed passes:
+  /// interrupt sleep in kInterrupt mode with no poll_timeout, poll_pause
+  /// otherwise. kTimedOut "bbp: <what> ..." (counted in stats_.timeouts)
+  /// once cfg.poll_timeout, measured from entry, elapses first.
+  template <typename Ready>
+  Status block_until(Ready&& ready, const char* what);
 
   scramnet::MemPort& port_;
   Layout layout_;

@@ -375,20 +375,7 @@ void Engine::handle(Packet pkt) {
 // Completion
 // ---------------------------------------------------------------------------
 
-bool Engine::spin_until_done(u32 idx) {
-  const SimTime deadline =
-      costs_.op_timeout > 0 ? dev_.now() + costs_.op_timeout : 0;
-  while (reqs_[idx].state != Req::State::kDone) {
-    if (!progress()) {
-      if (deadline != 0 && dev_.now() >= deadline) return false;
-      dev_.idle_pause();
-    }
-  }
-  return true;
-}
-
 MpiStatus Engine::timeout_request(u32 idx) {
-  ++timeouts_;
   Req& r = reqs_[idx];
   MpiStatus st = r.status;
   st.err = StatusCode::kTimedOut;
@@ -430,7 +417,8 @@ MpiStatus Engine::wait(Request req) {
   TRACE_SPAN(obs::Layer::kMpi, rank(), "adi.wait", dev_);
   assert(req.valid() && req.idx < reqs_.size());
   assert(reqs_[req.idx].state != Req::State::kFree && "wait on freed request");
-  if (!spin_until_done(req.idx)) return timeout_request(req.idx);
+  if (!progress_until([&] { return reqs_[req.idx].state == Req::State::kDone; }))
+    return timeout_request(req.idx);
   const MpiStatus st = reqs_[req.idx].status;
   free_req(req.idx);
   return st;
@@ -446,20 +434,12 @@ std::optional<MpiStatus> Engine::test(Request req) {
 }
 
 MpiStatus Engine::probe(i32 src, u16 ctx, i32 tag) {
-  const SimTime deadline =
-      costs_.op_timeout > 0 ? dev_.now() + costs_.op_timeout : 0;
-  for (;;) {
-    if (auto st = iprobe(src, ctx, tag)) return *st;
-    if (!progress()) {
-      if (deadline != 0 && dev_.now() >= deadline) {
-        ++timeouts_;
-        MpiStatus st;
-        st.err = StatusCode::kTimedOut;
-        return st;
-      }
-      dev_.idle_pause();
-    }
-  }
+  std::optional<MpiStatus> st;
+  if (progress_until([&] { return (st = iprobe(src, ctx, tag)).has_value(); }))
+    return *st;
+  MpiStatus timed_out;
+  timed_out.err = StatusCode::kTimedOut;
+  return timed_out;
 }
 
 std::optional<MpiStatus> Engine::iprobe(i32 src, u16 ctx, i32 tag) {
@@ -504,29 +484,24 @@ void Engine::coll_send(u32 dst, u16 ctx, PktKind kind, u32 aux,
   (void)dev_.send_packet(dst, h, data);
 }
 
-std::vector<u8> Engine::coll_wait_data(u16 ctx, u32 root) {
+std::optional<std::vector<u8>> Engine::coll_wait_data(u16 ctx, u32 root) {
   auto& q = collq_[{ctx, root}];
-  while (q.empty()) {
-    if (!progress()) dev_.idle_pause();
-  }
+  if (!progress_until([&] { return !q.empty(); })) return std::nullopt;
   std::vector<u8> data = std::move(q.front());
   q.pop_front();
   dev_.cpu(costs_.coll_fast + scaled(dev_.unpack_cost(static_cast<u32>(data.size()))));
   return data;
 }
 
-void Engine::coll_wait_arrivals(u16 ctx, u32 epoch, u32 n) {
+bool Engine::coll_wait_arrivals(u16 ctx, u32 epoch, u32 n) {
   const auto key = std::make_pair(ctx, epoch);
-  while (barrier_count_[key] < n) {
-    if (!progress()) dev_.idle_pause();
-  }
+  if (!progress_until([&] { return barrier_count_[key] >= n; })) return false;
   barrier_count_.erase(key);
+  return true;
 }
 
-void Engine::coll_wait_release(u16 ctx, u32 epoch) {
-  while (release_epoch_[ctx] < epoch) {
-    if (!progress()) dev_.idle_pause();
-  }
+bool Engine::coll_wait_release(u16 ctx, u32 epoch) {
+  return progress_until([&] { return release_epoch_[ctx] >= epoch; });
 }
 
 }  // namespace scrnet::scrmpi

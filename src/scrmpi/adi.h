@@ -37,7 +37,8 @@ struct LayerCosts {
   SimTime probe = us(2);
   SimTime coll_fast = us(1);      // native-multicast collective bookkeeping
                                   // (thin wrapper straight onto bbp_Mcast)
-  // Bounded wait for wait()/probe(): once a blocking completion has made
+  // Bounded wait for every blocking call (wait(), probe(), the coll_wait_*
+  // transport; see progress_until): once a blocking completion has made
   // no progress for this much virtual time the call returns with
   // MpiStatus::err = kTimedOut instead of spinning forever. A timed-out
   // rendezvous request is parked as a zombie (its id is never recycled)
@@ -73,6 +74,25 @@ class Engine {
   // -- progress ------------------------------------------------------------
   /// Drain every packet the device currently has; true if any arrived.
   bool progress();
+  /// The ADI's only blocking loop: run progress() until `done()` holds,
+  /// backing off with the device's idle_pause() after every pass that
+  /// drained nothing. False (counted in op_timeouts()) once
+  /// costs().op_timeout, measured from entry, expires first.
+  template <typename Done>
+  bool progress_until(Done&& done) {
+    const SimTime deadline =
+        costs_.op_timeout > 0 ? dev_.now() + costs_.op_timeout : 0;
+    while (!done()) {
+      if (!progress()) {
+        if (deadline != 0 && dev_.now() >= deadline) {
+          ++timeouts_;
+          return false;
+        }
+        dev_.idle_pause();
+      }
+    }
+    return true;
+  }
 
   // -- native-multicast collective transport -------------------------------
   bool has_native_mcast() const { return dev_.has_native_mcast(); }
@@ -84,16 +104,18 @@ class Engine {
                  std::span<const u8> data);
   /// Block until the next kCollData packet from `root` on `ctx`; returns
   /// its payload. Multiple broadcasts match in arrival (FIFO) order.
-  std::vector<u8> coll_wait_data(u16 ctx, u32 root);
-  /// Block until `n` kCollBarrier packets with `epoch` arrived on `ctx`.
-  void coll_wait_arrivals(u16 ctx, u32 epoch, u32 n);
-  /// Block until a kCollRelease with >= `epoch` was seen on `ctx`.
-  void coll_wait_release(u16 ctx, u32 epoch);
+  /// nullopt when op_timeout expired first.
+  std::optional<std::vector<u8>> coll_wait_data(u16 ctx, u32 root);
+  /// Block until `n` kCollBarrier packets with `epoch` arrived on `ctx`;
+  /// false when op_timeout expired first.
+  bool coll_wait_arrivals(u16 ctx, u32 epoch, u32 n);
+  /// Block until a kCollRelease with >= `epoch` was seen on `ctx`; false
+  /// when op_timeout expired first.
+  bool coll_wait_release(u16 ctx, u32 epoch);
 
   // -- statistics ----------------------------------------------------------
   u64 packets_handled() const { return packets_handled_; }
   usize unexpected_depth() const { return unexpected_.size(); }
-  usize posted_depth() const { return posted_.size(); }
   /// Blocking completions that returned kTimedOut.
   u64 op_timeouts() const { return timeouts_; }
   /// Packets referencing a dead (timed-out) or mismatched request, dropped.
@@ -166,9 +188,6 @@ class Engine {
   /// placement as payload on success, empty for the copy path.
   void grant_rendezvous(u32 idx, const PktHeader& rts,
                         std::span<const u8> rts_payload);
-  /// Run the progress loop until req is done; false when costs_.op_timeout
-  /// is set and expired first.
-  bool spin_until_done(u32 idx);
   /// Tear down a request whose wait timed out (unlink or zombie it) and
   /// build the kTimedOut status to hand the caller.
   MpiStatus timeout_request(u32 idx);

@@ -109,21 +109,22 @@ void Mpi::waitall(std::span<Request> rs, const Comm& comm) {
 }
 
 std::pair<usize, MpiStatus> Mpi::waitany(std::span<Request> rs, const Comm& comm) {
-  assert(!rs.empty());
-  for (;;) {
-    bool any_valid = false;
+  assert(std::any_of(rs.begin(), rs.end(), [](Request r) { return r.valid(); }) &&
+         "waitany with no valid requests");
+  std::pair<usize, MpiStatus> out{rs.size(), MpiStatus{}};
+  out.second.err = StatusCode::kTimedOut;
+  engine_.progress_until([&] {
     for (usize i = 0; i < rs.size(); ++i) {
       if (!rs[i].valid()) continue;
-      any_valid = true;
       if (auto st = test(rs[i], comm)) {
         rs[i] = Request{};  // invalidated, like MPI_Waitany
-        return {i, *st};
+        out = {i, *st};
+        return true;
       }
     }
-    assert(any_valid && "waitany with no valid requests");
-    (void)any_valid;
-    engine_.device().idle_pause();
-  }
+    return false;
+  });
+  return out;
 }
 
 MpiStatus Mpi::probe(i32 src, i32 tag, const Comm& comm) {
@@ -156,18 +157,6 @@ MpiStatus Mpi::sendrecv(const void* sbuf, u32 scount, Datatype sdt, i32 dest,
 // ---------------------------------------------------------------------------
 // Collectives: MPICH point-to-point tree algorithms
 // ---------------------------------------------------------------------------
-
-
-void Mpi::coll_p2p_send(u32 world_dst, u16 ctx, i32 tag,
-                        std::span<const u8> data) {
-  engine_.device().cpu(engine_.costs().binding);
-  engine_.wait(engine_.isend(world_dst, ctx, tag, data));
-}
-
-void Mpi::coll_p2p_recv(u32 world_src, u16 ctx, i32 tag, std::span<u8> buf) {
-  engine_.device().cpu(engine_.costs().binding);
-  engine_.wait(engine_.irecv(static_cast<i32>(world_src), ctx, tag, buf));
-}
 
 // The point-to-point tree/ring/chain algorithm bodies live in coll.cc (the
 // zoo); dispatch below resolves a selector and hands a coll::Ctx over.
@@ -205,12 +194,15 @@ void Mpi::bcast_native(void* buf, u32 bytes, i32 root, const Comm& comm) {
   const u32 root_world = comm.world_of(static_cast<u32>(root));
   u32 off = 0;
   do {
-    const std::vector<u8> data =
+    // A timed-out wait was counted in op_timeouts by the engine.
+    const std::optional<std::vector<u8>> data =
         engine_.coll_wait_data(comm.coll_ctx(), root_world);
-    if (data.size() > bytes - off || (data.empty() && bytes != off))
+    if (!data) return;
+    if (data->size() > bytes - off || (data->empty() && bytes != off))
       throw std::runtime_error("scrmpi: bcast size mismatch across ranks");
-    if (!data.empty()) std::memcpy(static_cast<u8*>(buf) + off, data.data(), data.size());
-    off += static_cast<u32>(data.size());
+    if (!data->empty())
+      std::memcpy(static_cast<u8*>(buf) + off, data->data(), data->size());
+    off += static_cast<u32>(data->size());
   } while (off < bytes);
 }
 
@@ -223,8 +215,9 @@ void Mpi::barrier_native(const Comm& comm) {
   const u16 ctx = comm.coll_ctx();
   const u32 epoch = ++barrier_epoch_[ctx];
 
+  // A timed-out wait returns early; the engine counted it in op_timeouts.
   if (me == 0) {
-    engine_.coll_wait_arrivals(ctx, epoch, size - 1);
+    if (!engine_.coll_wait_arrivals(ctx, epoch, size - 1)) return;
     engine_.coll_mcast(others(comm), ctx, PktKind::kCollRelease, epoch, {});
   } else {
     engine_.coll_send(comm.world_of(0), ctx, PktKind::kCollBarrier, epoch, {});
@@ -338,10 +331,10 @@ void Mpi::reduce(const void* sendbuf, void* recvbuf, u32 count, Datatype dt,
   TimedCall tc(*this);
   ++stats_.reduces;
   engine_.device().cpu(engine_.costs().binding);
-  const u32 size = comm.size();
-  const u32 me = static_cast<u32>(rank(comm));
+  coll::Ctx cx(engine_, comm);
+  const u32 size = cx.np;
   const u32 vroot = static_cast<u32>(root);
-  const u32 rel = (me - vroot + size) % size;
+  const u32 rel = (cx.me - vroot + size) % size;
   const u32 bytes = coll_bytes(count, dt);
 
   std::vector<u8> acc(bytes), tmp(bytes);
@@ -351,18 +344,16 @@ void Mpi::reduce(const void* sendbuf, void* recvbuf, u32 count, Datatype dt,
   u32 mask = 1;
   while (mask < size) {
     if (rel & mask) {
-      const u32 parent = (rel - mask + vroot) % size;
-      coll_p2p_send(comm.world_of(parent), comm.coll_ctx(), kTagReduce, acc);
+      cx.send((rel - mask + vroot) % size, kTagReduce, acc);
       break;
     }
     if (rel + mask < size) {
-      const u32 child = (rel + mask + vroot) % size;
-      coll_p2p_recv(comm.world_of(child), comm.coll_ctx(), kTagReduce, tmp);
+      cx.recv((rel + mask + vroot) % size, kTagReduce, tmp);
       apply_reduce(dt, op, acc.data(), tmp.data(), count);
     }
     mask <<= 1;
   }
-  if (me == vroot && bytes) std::memcpy(recvbuf, acc.data(), bytes);
+  if (cx.me == vroot && bytes) std::memcpy(recvbuf, acc.data(), bytes);
 }
 
 void Mpi::allreduce(const void* sendbuf, void* recvbuf, u32 count, Datatype dt,
@@ -399,19 +390,18 @@ void Mpi::gather(const void* sendbuf, u32 count, Datatype dt, void* recvbuf,
   TimedCall tc(*this);
   ++stats_.gathers;
   engine_.device().cpu(engine_.costs().binding);
-  const u32 me = static_cast<u32>(rank(comm));
+  coll::Ctx cx(engine_, comm);
+  const u32 me = cx.me;
   const u32 bytes = coll_bytes(count, dt);
   if (me != static_cast<u32>(root)) {
-    coll_p2p_send(comm.world_of(static_cast<u32>(root)), comm.coll_ctx(), kTagGather,
-                  as_bytes(sendbuf, count, dt));
+    cx.send(static_cast<u32>(root), kTagGather, as_bytes(sendbuf, count, dt));
     return;
   }
   u8* out = static_cast<u8*>(recvbuf);
   if (bytes) std::memcpy(out + static_cast<usize>(me) * bytes, sendbuf, bytes);
   for (u32 r = 0; r < comm.size(); ++r) {
     if (r == me) continue;
-    coll_p2p_recv(comm.world_of(r), comm.coll_ctx(), kTagGather,
-                  {out + static_cast<usize>(r) * bytes, bytes});
+    cx.recv(r, kTagGather, {out + static_cast<usize>(r) * bytes, bytes});
   }
 }
 
@@ -420,7 +410,8 @@ void Mpi::scatter(const void* sendbuf, void* recvbuf, u32 count, Datatype dt,
   TimedCall tc(*this);
   ++stats_.scatters;
   engine_.device().cpu(engine_.costs().binding);
-  const u32 me = static_cast<u32>(rank(comm));
+  coll::Ctx cx(engine_, comm);
+  const u32 me = cx.me;
   const u32 bytes = coll_bytes(count, dt);
   if (me == static_cast<u32>(root)) {
     const u8* in = static_cast<const u8*>(sendbuf);
@@ -429,13 +420,11 @@ void Mpi::scatter(const void* sendbuf, void* recvbuf, u32 count, Datatype dt,
         if (bytes) std::memcpy(recvbuf, in + static_cast<usize>(r) * bytes, bytes);
         continue;
       }
-      coll_p2p_send(comm.world_of(r), comm.coll_ctx(), kTagScatter,
-                    {in + static_cast<usize>(r) * bytes, bytes});
+      cx.send(r, kTagScatter, {in + static_cast<usize>(r) * bytes, bytes});
     }
     return;
   }
-  coll_p2p_recv(comm.world_of(static_cast<u32>(root)), comm.coll_ctx(), kTagScatter,
-                as_bytes(recvbuf, count, dt));
+  cx.recv(static_cast<u32>(root), kTagScatter, as_bytes(recvbuf, count, dt));
 }
 
 void Mpi::allgather(const void* sendbuf, u32 count, Datatype dt, void* recvbuf,

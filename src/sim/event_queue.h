@@ -117,7 +117,6 @@ class EventQueue {
   }
 
   bool empty() const { return slot_.node == nullptr && calendar_live_ == 0; }
-  usize size() const { return (slot_.node != nullptr ? 1u : 0u) + calendar_live_; }
 
   /// Time of the earliest queued event. Only valid when !empty().
   SimTime next_time() {

@@ -200,8 +200,6 @@ class Simulation {
   /// Event-storage counters (pool growth, inline vs heap callables) -- the
   /// allocation-free guarantee is asserted against these in tests.
   EventQueue::Stats queue_stats() const { return queue_.stats(); }
-  /// Events currently queued (device callbacks + process resumes).
-  usize events_pending() const { return queue_.size(); }
 
   /// Fiber stack-pool counters (mmap'd vs recycled stacks).
   detail::StackPool::Stats stack_stats() const { return stacks_.stats(); }
@@ -212,7 +210,6 @@ class Simulation {
   /// job's private sink inside a sweep::Runner job. run()/run_until()
   /// (re)install it as the thread-current sink for their duration.
   obs::Sink& sink() const { return *sink_; }
-  void set_sink(obs::Sink& s) { sink_ = &s; }
 
  private:
   friend class Process;
@@ -275,16 +272,8 @@ class Signal {
   /// Park until notified or until `timeout` elapses; true if notified.
   bool wait_for(Process& p, SimTime timeout);
 
-  /// Wait until pred() holds, re-checking after every notification.
-  template <typename Pred>
-  void wait_until(Process& p, Pred pred) {
-    while (!pred()) wait(p);
-  }
-
   void notify_all();
   void notify_one();
-
-  usize waiters() const { return waiting_.size(); }
 
  private:
   Simulation& sim_;

@@ -347,10 +347,9 @@ TEST(Engine, CollectiveTransportCountsAndReleases) {
   // are monotonic.
   p.e0.coll_send(1, /*ctx=*/3, PktKind::kCollBarrier, /*epoch=*/1, {});
   p.e0.coll_send(1, 3, PktKind::kCollBarrier, 1, {});
-  p.e1.coll_wait_arrivals(3, 1, 2);  // returns without spinning forever
+  EXPECT_TRUE(p.e1.coll_wait_arrivals(3, 1, 2));  // no spinning forever
   p.e1.coll_send(0, 3, PktKind::kCollRelease, 1, {});
-  p.e0.coll_wait_release(3, 1);
-  SUCCEED();
+  EXPECT_TRUE(p.e0.coll_wait_release(3, 1));
 }
 
 TEST(Engine, ProtocolBoundariesAreExact) {
@@ -543,8 +542,8 @@ TEST(Engine, CollDataMatchedInFifoOrderPerRoot) {
   std::vector<u8> m1{1}, m2{2};
   p.e0.coll_mcast(dst, 4, PktKind::kCollData, 0, m1);
   p.e0.coll_mcast(dst, 4, PktKind::kCollData, 0, m2);
-  EXPECT_EQ(p.e1.coll_wait_data(4, 0)[0], 1);
-  EXPECT_EQ(p.e1.coll_wait_data(4, 0)[0], 2);
+  EXPECT_EQ(p.e1.coll_wait_data(4, 0).value()[0], 1);
+  EXPECT_EQ(p.e1.coll_wait_data(4, 0).value()[0], 2);
 }
 
 }  // namespace

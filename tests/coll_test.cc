@@ -14,7 +14,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/cluster.h"
@@ -295,6 +298,67 @@ TEST(CollNativeMcast, ChunksPayloadsBeyondBillboardPartition) {
     mpi.set_allgather_algo(AllgatherAlgo::kGatherBcast);
     allgather_matrix(mpi, {32768});
   });
+}
+
+// Every native-collective wait honours LayerCosts::op_timeout: a rank that
+// never joins leaves its peers with a counted timeout, not a poll loop that
+// runs until the simulation's safety limit. Case 1: rank 0 skips a native
+// barrier. Case 2: rank 0 skips a native bcast, and the others then waitany
+// on a receive nobody matches. The time limit makes a regression fail fast
+// instead of hanging.
+TEST(CollNativeMcast, WaitsAreBoundedByOpTimeout) {
+  using scrnet::StatusCode;
+  constexpr u32 kNodes = 4;
+  for (const bool bcast_case : {false, true}) {
+    SCOPED_TRACE(bcast_case ? "bcast + waitany" : "barrier");
+    // Declared before the simulation so it outlives ranks unwound by the
+    // simulation's destructor.
+    std::unique_ptr<scrnet::scramnet::Ring> ring;
+    scrnet::sim::Simulation sim;
+    sim.set_time_limit(scrnet::ms(100));
+    scrnet::scramnet::RingConfig rc;
+    rc.nodes = kNodes;
+    ring = std::make_unique<scrnet::scramnet::Ring>(sim, rc);
+    scrnet::scrmpi::LayerCosts costs;
+    costs.op_timeout = scrnet::ms(1);
+    std::vector<scrnet::u64> timeouts(kNodes, 0);
+    std::vector<std::pair<std::size_t, StatusCode>> any(kNodes, {0, StatusCode::kOk});
+    for (u32 r = 0; r < kNodes; ++r) {
+      sim.spawn("rank" + std::to_string(r), [&, r](scrnet::sim::Process& p) {
+        scrnet::scramnet::SimHostPort port(*ring, r, p);
+        scrnet::bbp::Endpoint ep(port, kNodes, r);
+        scrnet::scrmpi::BbpChannel dev(ep);
+        Mpi mpi(dev, costs);
+        mpi.set_bcast_algo(CollAlgo::kNativeMcast);
+        mpi.set_barrier_algo(CollAlgo::kNativeMcast);
+        const auto& world = mpi.world();
+        if (r != 0 && !bcast_case) mpi.barrier(world);
+        if (r != 0 && bcast_case) {
+          u32 v = 0;
+          mpi.bcast(&v, 1, Datatype::kUint32, 0, world);
+          scrnet::scrmpi::Request rs[] = {
+              mpi.irecv(&v, 1, Datatype::kUint32, 0, /*tag=*/77, world)};
+          const auto [idx, st] = mpi.waitany(rs, world);
+          any[r] = {idx, st.err};
+        }
+        timeouts[r] = mpi.engine().op_timeouts();
+      });
+    }
+    std::string error;
+    try {
+      sim.run();
+    } catch (const std::runtime_error& e) {
+      error = e.what();
+    }
+    EXPECT_EQ(error, "");
+    for (u32 r = 1; r < kNodes; ++r) {
+      EXPECT_EQ(timeouts[r], bcast_case ? 2u : 1u) << "rank=" << r;
+      if (bcast_case) {
+        EXPECT_EQ(any[r].first, 1u) << "rank=" << r;
+        EXPECT_EQ(any[r].second, StatusCode::kTimedOut) << "rank=" << r;
+      }
+    }
+  }
 }
 
 // -- stats ------------------------------------------------------------------
