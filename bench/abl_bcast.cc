@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
     for (u32 bytes : kSweepSizes) points.push_back({dev, {8, bytes}});
   for (const std::string& dev : {std::string("sock"), std::string("bbp")})
     for (u32 nodes : kSweepNodes) points.push_back({dev, {nodes, 65536}});
-  sweep::Runner runner(parse_jobs(argc, argv));
+  sweep::Runner runner(sweep::parse_jobs(argc, argv));
   const Cells cells = measure_cells(runner, points);
 
   std::cout << "-- SCRAMNet (bbp), 8 nodes --\n";

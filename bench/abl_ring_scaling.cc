@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   const bool large = std::any_of(argv + 1, argv + argc, [](const char* a) {
     return std::strcmp(a, "--large") == 0;
   });
-  sweep::Runner runner(parse_jobs(argc, argv));
+  sweep::Runner runner(sweep::parse_jobs(argc, argv));
   header("Ablation: ring size scaling (2-16 nodes)",
          "extrapolates the paper's 4-node testbed per its Section 2 claims");
 

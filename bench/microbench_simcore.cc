@@ -363,7 +363,7 @@ BENCHMARK(BM_SweepFigures)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
 
 /// Pool overhead floor: tiny jobs (one near-empty simulation each), so the
-/// submit/steal/future machinery dominates instead of the simulations.
+/// submit/queue/future machinery dominates instead of the simulations.
 void BM_SweepThroughput(benchmark::State& state) {
   const u32 jobs = static_cast<u32>(state.range(0));
   u64 done = 0;

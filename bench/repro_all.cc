@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
       golden_dir = argv[++i];
   }
 
-  sweep::Runner runner(bench::parse_jobs(argc, argv));
+  sweep::Runner runner(sweep::parse_jobs(argc, argv));
   std::cout << "repro_all: " << (sizeof kSuite / sizeof kSuite[0])
             << " binaries, jobs=" << runner.jobs() << ", golden=" << golden_dir
             << (update ? " (UPDATING)" : compare ? "" : " (NO COMPARE)")

@@ -102,10 +102,12 @@ class Engine {
   /// Send a collective packet point-to-point (barrier arrival etc.).
   void coll_send(u32 dst, u16 ctx, PktKind kind, u32 aux,
                  std::span<const u8> data);
-  /// Block until the next kCollData packet from `root` on `ctx`; returns
-  /// its payload. Multiple broadcasts match in arrival (FIFO) order.
-  /// nullopt when op_timeout expired first.
-  std::optional<std::vector<u8>> coll_wait_data(u16 ctx, u32 root);
+  /// Block until the next kCollData packet from `root` on `ctx` whose aux
+  /// is `epoch`; returns its payload. Chunks of one broadcast match in
+  /// arrival (FIFO) order; queued chunks of an older epoch (a broadcast
+  /// this rank already timed out of) are dropped as stale. nullopt when
+  /// op_timeout expired first.
+  std::optional<std::vector<u8>> coll_wait_data(u16 ctx, u32 root, u32 epoch);
   /// Block until `n` kCollBarrier packets with `epoch` arrived on `ctx`;
   /// false when op_timeout expired first.
   bool coll_wait_arrivals(u16 ctx, u32 epoch, u32 n);
@@ -207,7 +209,11 @@ class Engine {
   std::deque<Unexpected> unexpected_;
 
   // Collective state.
-  std::map<std::pair<u16, u32>, std::deque<std::vector<u8>>> collq_;  // (ctx,root)
+  struct CollChunk {
+    u32 epoch;  // the sender's native-collective sequence number (aux)
+    std::vector<u8> data;
+  };
+  std::map<std::pair<u16, u32>, std::deque<CollChunk>> collq_;  // (ctx,root)
   std::map<std::pair<u16, u32>, u32> barrier_count_;                  // (ctx,epoch)
   std::map<u16, u32> release_epoch_;                                  // ctx -> max
 

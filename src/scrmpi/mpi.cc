@@ -176,7 +176,12 @@ void Mpi::bcast_native(void* buf, u32 bytes, i32 root, const Comm& comm) {
   // transport being fire-and-forget, silently dropped with every receiver
   // blocked in coll_wait_data. Chunks from one root are matched in order
   // (the paper's non-synchronizing semantics), so receivers just
-  // accumulate until the announced byte count is complete.
+  // accumulate until the announced byte count is complete. Every chunk
+  // carries this call's native sequence number: a receiver that timed out
+  // of an earlier bcast drops that bcast's late chunks instead of reading
+  // them as this one's.
+  const u16 ctx = comm.coll_ctx();
+  const u32 epoch = ++native_seq_[ctx];
   const u32 me = static_cast<u32>(rank(comm));
   const u32 cap = std::max<u32>(4, engine_.device().mcast_cap());
   if (me == static_cast<u32>(root)) {
@@ -185,7 +190,7 @@ void Mpi::bcast_native(void* buf, u32 bytes, i32 root, const Comm& comm) {
     u32 off = 0;
     do {
       const u32 n = std::min(bytes - off, cap);
-      engine_.coll_mcast(dsts, comm.coll_ctx(), PktKind::kCollData, 0,
+      engine_.coll_mcast(dsts, ctx, PktKind::kCollData, epoch,
                          {static_cast<const u8*>(buf) + off, n});
       off += n;
     } while (off < bytes);
@@ -196,7 +201,7 @@ void Mpi::bcast_native(void* buf, u32 bytes, i32 root, const Comm& comm) {
   do {
     // A timed-out wait was counted in op_timeouts by the engine.
     const std::optional<std::vector<u8>> data =
-        engine_.coll_wait_data(comm.coll_ctx(), root_world);
+        engine_.coll_wait_data(ctx, root_world, epoch);
     if (!data) return;
     if (data->size() > bytes - off || (data->empty() && bytes != off))
       throw std::runtime_error("scrmpi: bcast size mismatch across ranks");
@@ -209,11 +214,11 @@ void Mpi::bcast_native(void* buf, u32 bytes, i32 root, const Comm& comm) {
 void Mpi::barrier_native(const Comm& comm) {
   // Paper Section 4: rank 0 coordinates -- it collects a null message from
   // every member, then multicasts a null release to all of them.
+  const u16 ctx = comm.coll_ctx();
+  const u32 epoch = ++native_seq_[ctx];
   const u32 size = comm.size();
   if (size == 1) return;
   const u32 me = static_cast<u32>(rank(comm));
-  const u16 ctx = comm.coll_ctx();
-  const u32 epoch = ++barrier_epoch_[ctx];
 
   // A timed-out wait returns early; the engine counted it in op_timeouts.
   if (me == 0) {
@@ -232,7 +237,7 @@ void Mpi::barrier_native(const Comm& comm) {
 std::string_view Mpi::table_pick(std::string_view op, u32 nodes,
                                  u32 bytes) {
   const tune::DecisionTable& t =
-      table_ ? *table_ : tune::DecisionTable::active();
+      table_ ? *table_ : tune::DecisionTable::builtin();
   return t.pick(engine_.device().kind(), op, nodes, bytes);
 }
 

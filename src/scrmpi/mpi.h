@@ -89,10 +89,9 @@ class Mpi {
   /// MPI_Allgather algorithm.
   void set_allgather_algo(AllgatherAlgo a) { allgather_algo_ = a; }
 
-  /// Override the decision table kAuto consults (default: the process
-  /// table, i.e. DecisionTable::active() -- the compiled-in sweep result
-  /// unless SCRNET_COLL_TABLE names a file). Not owned; must outlive the
-  /// Mpi instance.
+  /// Override the decision table kAuto consults (default:
+  /// DecisionTable::builtin(), the compiled-in sweep result). Not owned;
+  /// must outlive the Mpi instance.
   void set_decision_table(const tune::DecisionTable* t) { table_ = t; }
 
   Engine& engine() { return engine_; }
@@ -185,12 +184,15 @@ class Mpi {
   Comm world_;
   CallStats stats_;
   u16 next_base_ctx_ = 1;
-  std::map<u16, u32> barrier_epoch_;  // coll ctx -> last epoch used
+  // coll ctx -> number of native collectives (bcast or barrier) entered
+  // on it. Every rank advances it on every call, timed out or not, so it
+  // names the same collective on every rank.
+  std::map<u16, u32> native_seq_;
   CollAlgo bcast_algo_ = CollAlgo::kAuto;
   CollAlgo barrier_algo_ = CollAlgo::kAuto;
   AllreduceAlgo allreduce_algo_ = AllreduceAlgo::kAuto;
   AllgatherAlgo allgather_algo_ = AllgatherAlgo::kAuto;
-  const tune::DecisionTable* table_ = nullptr;  // nullptr: process table
+  const tune::DecisionTable* table_ = nullptr;  // nullptr: builtin()
 };
 
 /// Element-wise reduction: recv[i] = op(recv[i], in[i]).

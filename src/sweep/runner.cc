@@ -1,6 +1,7 @@
 #include "sweep/runner.h"
 
 #include <atomic>
+#include <cstring>
 
 namespace scrnet::sweep {
 
@@ -12,6 +13,16 @@ namespace {
 std::atomic<u64> g_job_seq{0};
 }  // namespace
 
+u32 parse_jobs(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
+      return static_cast<u32>(std::atol(argv[i + 1]));
+    if (std::strncmp(argv[i], "--jobs=", 7) == 0)
+      return static_cast<u32>(std::atol(argv[i] + 7));
+  }
+  return 0;
+}
+
 std::string Runner::next_label(std::string_view base) {
   const u64 seq = g_job_seq.fetch_add(1, std::memory_order_relaxed);
   std::string n = std::to_string(seq);
@@ -20,90 +31,41 @@ std::string Runner::next_label(std::string_view base) {
 }
 
 Runner::Runner(u32 jobs) : jobs_(jobs == 0 ? default_jobs() : jobs) {
-  if (jobs_ == 1) return;  // inline mode: no shards, no threads
-  shards_.reserve(jobs_);
-  for (u32 i = 0; i < jobs_; ++i) shards_.push_back(std::make_unique<Shard>());
+  if (jobs_ == 1) return;  // inline mode: no queue, no threads
   threads_.reserve(jobs_);
-  for (u32 i = 0; i < jobs_; ++i) threads_.emplace_back([this, i] { worker(i); });
+  for (u32 i = 0; i < jobs_; ++i) threads_.emplace_back([this] { worker(); });
 }
 
 Runner::~Runner() {
-  if (jobs_ == 1) return;
   {
-    std::unique_lock<std::mutex> lk(pool_mu_);
-    drain_cv_.wait(lk, [&] { return queued_ == 0 && active_ == 0; });
+    std::lock_guard<std::mutex> lk(mu_);
     stop_ = true;
   }
-  work_cv_.notify_all();
+  cv_.notify_all();
   for (auto& t : threads_) t.join();
 }
 
-void Runner::enqueue(std::unique_ptr<detail::TaskBase> task) {
-  // Round-robin the submission stream across shards: with W workers and a
-  // batch of N jobs, worker i starts on job i without contending for a
-  // single shared queue; stealing rebalances from there.
-  u64 target;
+void Runner::enqueue(std::function<void()> job) {
   {
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    target = next_shard_++;
-    ++queued_;
+    std::lock_guard<std::mutex> lk(mu_);
+    queue_.push_back(std::move(job));
   }
-  Shard& s = *shards_[target % shards_.size()];
-  {
-    std::lock_guard<std::mutex> lk(s.mu);
-    s.dq.push_back(std::move(task));
-  }
-  work_cv_.notify_one();
+  cv_.notify_one();
 }
 
-std::unique_ptr<detail::TaskBase> Runner::take(u32 me) {
-  // Own queue first, oldest first (the front is this worker's share of
-  // the submission order).
-  {
-    Shard& s = *shards_[me];
-    std::lock_guard<std::mutex> lk(s.mu);
-    if (!s.dq.empty()) {
-      auto t = std::move(s.dq.front());
-      s.dq.pop_front();
-      return t;
-    }
-  }
-  // Steal from a sibling's back: the youngest job, the one its owner
-  // would reach last.
-  for (u32 k = 1; k < jobs_; ++k) {
-    Shard& s = *shards_[(me + k) % jobs_];
-    std::lock_guard<std::mutex> lk(s.mu);
-    if (!s.dq.empty()) {
-      auto t = std::move(s.dq.back());
-      s.dq.pop_back();
-      return t;
-    }
-  }
-  return nullptr;
-}
-
-void Runner::worker(u32 me) {
+void Runner::worker() {
   for (;;) {
-    std::unique_ptr<detail::TaskBase> task;
+    std::function<void()> job;
     {
-      std::unique_lock<std::mutex> lk(pool_mu_);
-      work_cv_.wait(lk, [&] { return stop_ || queued_ > 0; });
-      if (stop_) return;
-      // queued_ > 0 does not guarantee *this* worker finds the task (a
-      // sibling may grab it between unlock and take); loop if raced.
-      lk.unlock();
-      task = take(me);
-      if (!task) continue;
-      lk.lock();
-      --queued_;
-      ++active_;
+      std::unique_lock<std::mutex> lk(mu_);
+      cv_.wait(lk, [&] { return stop_ || !queue_.empty(); });
+      // Exit only once the queue is empty, so jobs whose futures were
+      // dropped still run before the destructor returns.
+      if (queue_.empty()) return;
+      job = std::move(queue_.front());
+      queue_.pop_front();
     }
-    task->run();
-    {
-      std::lock_guard<std::mutex> lk(pool_mu_);
-      --active_;
-      if (queued_ == 0 && active_ == 0) drain_cv_.notify_all();
-    }
+    job();
   }
 }
 

@@ -7,8 +7,8 @@
 // sim::Simulation that shares no mutable state with its siblings. The
 // Runner exploits that:
 //
-//  * submit(fn) hands one simulation-returning-a-value job to a
-//    work-stealing thread pool and returns a Future<T>;
+//  * submit(fn) appends one simulation-returning-a-value job to a single
+//    FIFO queue drained by N worker threads and returns a std::future;
 //  * results are collected through the futures in *submission order*, so
 //    a sweep's output is byte-identical to running the same jobs
 //    sequentially -- at any --jobs value, in any completion order;
@@ -28,18 +28,17 @@
 //     time, never wall clock.
 //
 // jobs == 1 degenerates to inline execution on the submitting thread (no
-// pool, no threads): the literal sequential baseline the parallel results
+// queue, no threads): the literal sequential baseline the parallel results
 // are compared against.
 #pragma once
 
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
-#include <exception>
 #include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -52,99 +51,23 @@
 
 namespace scrnet::sweep {
 
-namespace detail {
-
-/// Type-erased unit of work: runs the user job under its sink and
-/// fulfills its future. noexcept -- job exceptions are captured into the
-/// future and rethrown at get().
-struct TaskBase {
-  virtual ~TaskBase() = default;
-  virtual void run() noexcept = 0;
-};
-
-template <typename T>
-struct FutureState {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  std::exception_ptr error;
-  std::optional<T> value;
-
-  void fulfill(std::optional<T>&& v, std::exception_ptr e) {
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      value = std::move(v);
-      error = e;
-      done = true;
-    }
-    cv.notify_all();
-  }
-};
-
-template <typename T, typename F>
-struct Task final : TaskBase {
-  F fn;
-  std::string label;
-  std::shared_ptr<FutureState<T>> state;
-
-  Task(F&& f, std::string lbl, std::shared_ptr<FutureState<T>> st)
-      : fn(std::move(f)), label(std::move(lbl)), state(std::move(st)) {}
-
-  void run() noexcept override {
-    // One private sink per run: simulations constructed inside fn capture
-    // it, TRACE_* hooks on this thread record into it, and armed
-    // SCRNET_TRACE / SCRNET_COUNTERS output lands in "<path>.<label>".
-    obs::Sink sink(label);
-    std::optional<T> value;
-    std::exception_ptr error;
-    {
-      obs::Sink::Scope scope(sink);
-      try {
-        value.emplace(fn());
-      } catch (...) {
-        error = std::current_exception();
-      }
-    }
-    sink.flush_env();
-    state->fulfill(std::move(value), error);
-  }
-};
-
-}  // namespace detail
-
 /// Handle to one submitted job's result. get() blocks until the job
 /// finishes and rethrows any exception the job threw.
 template <typename T>
-class Future {
- public:
-  Future() = default;
+using Future = std::future<T>;
 
-  bool valid() const { return st_ != nullptr; }
-
-  bool ready() const {
-    std::lock_guard<std::mutex> lk(st_->mu);
-    return st_->done;
-  }
-
-  T get() {
-    std::unique_lock<std::mutex> lk(st_->mu);
-    st_->cv.wait(lk, [&] { return st_->done; });
-    if (st_->error) std::rethrow_exception(st_->error);
-    return std::move(*st_->value);
-  }
-
- private:
-  friend class Runner;
-  explicit Future(std::shared_ptr<detail::FutureState<T>> st) : st_(std::move(st)) {}
-  std::shared_ptr<detail::FutureState<T>> st_;
-};
+/// Parse `--jobs N` / `--jobs=N` from a main's argv. Returns 0 when
+/// absent, which Runner resolves to default_jobs(). The job count never
+/// changes a sweep's output (results are collected in submission order),
+/// only its wall clock.
+u32 parse_jobs(int argc, char** argv);
 
 class Runner {
  public:
   /// jobs == 0 resolves default_jobs(). jobs == 1 runs every submit
   /// inline on the calling thread; jobs > 1 starts that many workers.
   explicit Runner(u32 jobs = 0);
-  /// Drains outstanding work, then stops and joins the workers.
+  /// Runs every queued job, then joins the workers.
   ~Runner();
 
   Runner(const Runner&) = delete;
@@ -168,16 +91,28 @@ class Runner {
   /// trace/counter files are unique and stable across --jobs values).
   template <typename F, typename T = std::invoke_result_t<std::decay_t<F>&>>
   Future<T> submit(std::string_view label, F&& fn) {
-    static_assert(!std::is_void_v<T>, "sweep jobs must return a value");
-    auto st = std::make_shared<detail::FutureState<T>>();
-    auto task = std::make_unique<detail::Task<T, std::decay_t<F>>>(
-        std::decay_t<F>(std::forward<F>(fn)), next_label(label), st);
+    auto task = std::make_shared<std::packaged_task<T()>>(
+        [fn = std::decay_t<F>(std::forward<F>(fn)),
+         sink_label = next_label(label)]() mutable -> T {
+          // One private sink per run: simulations constructed inside fn
+          // capture it, TRACE_* hooks on this thread record into it, and
+          // armed SCRNET_TRACE / SCRNET_COUNTERS output lands in
+          // "<path>.<label>" -- also when fn throws.
+          obs::Sink sink(std::move(sink_label));
+          struct Flush {
+            obs::Sink& s;
+            ~Flush() { s.flush_env(); }
+          } flush{sink};
+          obs::Sink::Scope scope(sink);
+          return fn();
+        });
+    Future<T> fut = task->get_future();
     if (jobs_ == 1) {
-      task->run();  // sequential baseline: run now, in submission order
+      (*task)();  // sequential baseline: run now, in submission order
     } else {
-      enqueue(std::move(task));
+      enqueue([task] { (*task)(); });
     }
-    return Future<T>(std::move(st));
+    return fut;
   }
 
   template <typename F, typename T = std::invoke_result_t<std::decay_t<F>&>>
@@ -201,32 +136,18 @@ class Runner {
   }
 
  private:
-  /// Per-worker locked deque. The owner takes from the front (submission
-  /// order); an idle worker steals from another's back.
-  struct Shard {
-    std::mutex mu;
-    std::deque<std::unique_ptr<detail::TaskBase>> dq;
-  };
-
   std::string next_label(std::string_view base);
-  void enqueue(std::unique_ptr<detail::TaskBase> task);
-  std::unique_ptr<detail::TaskBase> take(u32 me);
-  void worker(u32 me);
+  void enqueue(std::function<void()> job);
+  void worker();
 
   u32 jobs_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::thread> threads_;
 
-  // Pool state: queued counts tasks sitting in shards, active counts
-  // tasks currently executing. The destructor drains (queued+active == 0)
-  // before stopping, so futures never dangle unfulfilled.
-  std::mutex pool_mu_;
-  std::condition_variable work_cv_;   // workers: work available / stopping
-  std::condition_variable drain_cv_;  // destructor: pool went idle
-  usize queued_ = 0;
-  usize active_ = 0;
-  u64 next_shard_ = 0;
+  std::mutex mu_;
+  std::condition_variable cv_;  // workers: job queued / stopping
+  std::deque<std::function<void()>> queue_;
   bool stop_ = false;
+
+  std::vector<std::thread> threads_;  // last: workers use the members above
 };
 
 }  // namespace scrnet::sweep

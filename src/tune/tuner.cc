@@ -36,16 +36,6 @@ using namespace scrnet::tune;
 
 namespace {
 
-u32 parse_jobs(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-      return static_cast<u32>(std::atol(argv[i + 1]));
-    if (std::strncmp(argv[i], "--jobs=", 7) == 0)
-      return static_cast<u32>(std::atol(argv[i] + 7));
-  }
-  return 0;
-}
-
 const char* parse_opt(int argc, char** argv, const char* flag) {
   for (int i = 1; i + 1 < argc; ++i)
     if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
@@ -72,7 +62,7 @@ bool has_flag(int argc, char** argv, const char* flag) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  sweep::Runner runner(parse_jobs(argc, argv));
+  sweep::Runner runner(sweep::parse_jobs(argc, argv));
   const bool quick = has_flag(argc, argv, "--quick");
   const std::vector<u32> size_grid =
       quick ? std::vector<u32>{8, 4096} : kSweepSizes;

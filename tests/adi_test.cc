@@ -540,10 +540,10 @@ TEST(Engine, CollDataMatchedInFifoOrderPerRoot) {
   Pair p;
   const u32 dst[] = {1};
   std::vector<u8> m1{1}, m2{2};
-  p.e0.coll_mcast(dst, 4, PktKind::kCollData, 0, m1);
-  p.e0.coll_mcast(dst, 4, PktKind::kCollData, 0, m2);
-  EXPECT_EQ(p.e1.coll_wait_data(4, 0).value()[0], 1);
-  EXPECT_EQ(p.e1.coll_wait_data(4, 0).value()[0], 2);
+  p.e0.coll_mcast(dst, 4, PktKind::kCollData, 1, m1);
+  p.e0.coll_mcast(dst, 4, PktKind::kCollData, 1, m2);
+  EXPECT_EQ(p.e1.coll_wait_data(4, 0, 1).value()[0], 1);
+  EXPECT_EQ(p.e1.coll_wait_data(4, 0, 1).value()[0], 2);
 }
 
 }  // namespace

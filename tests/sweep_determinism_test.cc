@@ -1,4 +1,4 @@
-// sweep::Runner: work-stealing pool correctness and the bit-identical
+// sweep::Runner: job-queue correctness and the bit-identical
 // determinism contract. The stress cases deliberately run multi-fiber
 // simulations on many worker threads at once -- the exact configuration
 // the ThreadSanitizer CI job checks (fibers carry TSan annotations, so the
@@ -7,7 +7,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <future>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -35,7 +40,7 @@ TEST(Runner, InlineWhenJobsIsOne) {
   EXPECT_EQ(r.jobs(), 1u);
   auto f = r.submit([] { return 42; });
   // jobs==1 runs at submit time, so the future is ready before get().
-  EXPECT_TRUE(f.ready());
+  EXPECT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
   EXPECT_EQ(f.get(), 42);
 }
 
@@ -90,8 +95,8 @@ TEST(SweepDeterminism, ParallelMatchesSequentialBitExact) {
 }
 
 // Shuffled heterogeneous workload: big jobs submitted first so completion
-// order inverts submission order on a multi-worker pool, exercising the
-// steal path. Results must still come back in submission order.
+// order inverts submission order on a multi-worker pool. Results must
+// still come back in submission order.
 TEST(SweepDeterminism, CompletionOrderInversionIsInvisible) {
   std::vector<u32> sizes{1000, 750, 512, 256, 64, 16, 4, 0};
   Runner seq(1), par(8);
@@ -209,6 +214,41 @@ TEST(SweepSinks, LabeledFlushWritesSuffixedFile) {
   std::fclose(f);
   std::remove(path.c_str());
   obs::Tracer::global().enable(false);
+}
+
+// A job that throws still flushes its labeled sink. SCRNET_TRACE is read
+// once at process start, so the job runs in a death-test child re-executed
+// with the variable set; the parent then looks for "<base>.<label>".
+TEST(SweepSinks, ThrowingJobStillFlushesItsSink) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "sweep_throw_flush";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string base = (dir / "trace.json").string();
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ASSERT_EQ(setenv("SCRNET_TRACE", base.c_str(), 1), 0);
+  EXPECT_EXIT(
+      {
+        Runner r(2);
+        auto f = r.submit("boom", []() -> int {
+          obs::Tracer::current().instant(obs::Layer::kSim, 0, "pre-throw", 0);
+          throw std::runtime_error("boom");
+        });
+        try {
+          (void)f.get();
+        } catch (const std::runtime_error&) {
+          std::exit(0);
+        }
+        std::exit(1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  unsetenv("SCRNET_TRACE");
+  std::vector<std::string> files;
+  for (const auto& e : fs::directory_iterator(dir))
+    files.push_back(e.path().filename().string());
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(files[0].rfind("trace.json.boom-", 0), 0u) << files[0];
+  fs::remove_all(dir);
 }
 
 // A simulation constructed inside a job publishes into that job's sink
