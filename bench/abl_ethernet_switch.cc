@@ -15,7 +15,7 @@ int main() {
 
   TcpOptions ct;  // default: cut-through
   TcpOptions snf;
-  snf.ethernet.store_and_forward = true;
+  snf.store_and_forward = true;
 
   const std::vector<u32> sizes{0, 64, 256, 512, 1000, 1500, 3000, 5000};
   Series scr{"SCRAMNet API", {}}, fe_ct{"FE TCP cut-through", {}},

@@ -244,12 +244,12 @@ bool FaultPlan::node_active(u32 node, SimTime t) const {
 
 // -- fabric hook ------------------------------------------------------------
 
-netmodels::FaultHook::Verdict FaultPlan::on_frame(const netmodels::Frame& f,
+netmodels::FaultHook::Verdict FaultPlan::on_frame(u32 src, u32 dst,
                                                   SimTime arrival) {
   Verdict v;
   for (const Partition& p : partitions_) {
-    if (arrival >= p.at && (p.src == kAnyNode || p.src == f.src) &&
-        (p.dst == kAnyNode || p.dst == f.dst)) {
+    if (arrival >= p.at && (p.src == kAnyNode || p.src == src) &&
+        (p.dst == kAnyNode || p.dst == dst)) {
       fire(FaultKind::kPartition);
       v.drop = true;
       return v;
@@ -259,7 +259,7 @@ netmodels::FaultHook::Verdict FaultPlan::on_frame(const netmodels::Frame& f,
     if (arrival < w.from || arrival >= w.until) continue;
     // Hash-based coin flip: a pure function of (seed, src, dst, arrival),
     // so the verdict does not depend on how many frames were seen before.
-    u64 s = w.seed ^ ((u64{f.src} << 32) | f.dst);
+    u64 s = w.seed ^ ((u64{src} << 32) | dst);
     s ^= static_cast<u64>(arrival) * 0x9E3779B97F4A7C15ull;
     const u64 h = splitmix64(s);
     const double u = static_cast<double>(h >> 11) * 0x1.0p-53;

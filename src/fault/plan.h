@@ -165,7 +165,7 @@ class FaultPlan final : public netmodels::FaultHook {
 
   // -- fabric hook ---------------------------------------------------------
 
-  Verdict on_frame(const netmodels::Frame& f, SimTime arrival) override;
+  Verdict on_frame(u32 src, u32 dst, SimTime arrival) override;
 
   // -- observability -------------------------------------------------------
 

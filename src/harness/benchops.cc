@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "common/bytes.h"
+#include "netmodels/myrinet.h"
 
 namespace scrnet::harness {
 
@@ -128,7 +129,7 @@ double tcp_api_oneway_us(TcpFabricKind kind, u32 bytes, u32 iters, u32 warmup,
 double myrinet_api_oneway_us(u32 bytes, u32 iters, u32 warmup) {
   PingPongClock clk;
   sim::Simulation sim;
-  netmodels::MyrinetFabric fabric(sim, 2);
+  netmodels::Fabric fabric(sim, 2, netmodels::LinkConfig::myrinet());
   for (u32 r = 0; r < 2; ++r) {
     sim.spawn("myr-host" + std::to_string(r), [&, r](sim::Process& p) {
       netmodels::MyrinetApi api(fabric, r);

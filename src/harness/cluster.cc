@@ -109,11 +109,11 @@ SimTime run_scramnet_mpi(
 
 SimTime run_hybrid_mpi(u32 nodes, TcpFabricKind bulk_kind, u32 threshold,
                        const std::function<void(sim::Process&, scrmpi::Mpi&)>& body,
-                       ScramnetOptions sopts, TcpOptions topts) {
+                       ScramnetOptions sopts) {
   sim::Simulation sim;
   sopts.ring.nodes = nodes;
   scramnet::Ring ring(sim, sopts.ring);
-  auto fabric = make_fabric(sim, nodes, bulk_kind, topts);
+  auto fabric = make_fabric(sim, nodes, bulk_kind);
   arm_faults(sopts.faults, sim, &ring, fabric.get());
   const netmodels::TcpConfig stack_cfg = default_stack(bulk_kind);
   for (u32 r = 0; r < nodes; ++r) {
@@ -150,15 +150,14 @@ netmodels::TcpConfig default_stack(TcpFabricKind kind) {
 std::unique_ptr<netmodels::Fabric> make_fabric(sim::Simulation& sim, u32 nodes,
                                                TcpFabricKind kind,
                                                const TcpOptions& opts) {
+  netmodels::LinkConfig link;
   switch (kind) {
-    case TcpFabricKind::kFastEthernet:
-      return std::make_unique<netmodels::EthernetFabric>(sim, nodes, opts.ethernet);
-    case TcpFabricKind::kAtm:
-      return std::make_unique<netmodels::AtmFabric>(sim, nodes, opts.atm);
-    case TcpFabricKind::kMyrinet:
-      return std::make_unique<netmodels::MyrinetFabric>(sim, nodes, opts.myrinet);
+    case TcpFabricKind::kFastEthernet: link = netmodels::LinkConfig::fast_ethernet(); break;
+    case TcpFabricKind::kAtm: link = netmodels::LinkConfig::atm(); break;
+    case TcpFabricKind::kMyrinet: link = netmodels::LinkConfig::myrinet(); break;
   }
-  return nullptr;
+  link.store_and_forward = opts.store_and_forward;
+  return std::make_unique<netmodels::Fabric>(sim, nodes, link);
 }
 
 SimTime run_rdma_mpi(u32 nodes,

@@ -10,9 +10,7 @@
 
 #include "bbp/endpoint.h"
 #include "fault/plan.h"
-#include "netmodels/atm.h"
-#include "netmodels/ethernet.h"
-#include "netmodels/myrinet.h"
+#include "netmodels/fabric.h"
 #include "netmodels/rdma.h"
 #include "netmodels/tcp.h"
 #include "scramnet/ring.h"
@@ -51,9 +49,9 @@ inline std::string to_string(TcpFabricKind k) {
 }
 
 struct TcpOptions {
-  netmodels::EthernetConfig ethernet;
-  netmodels::AtmConfig atm;
-  netmodels::MyrinetConfig myrinet;
+  /// Switch forwarding mode; every LinkConfig preset cuts through unless
+  /// this is set (bench/abl_ethernet_switch measures the difference).
+  bool store_and_forward = false;
   // Per-byte channel costs are device-owned (SockChannel::pack_cost), so
   // the same LayerCosts work across devices.
   scrmpi::LayerCosts mpi;
@@ -100,17 +98,20 @@ SimTime run_rdma_mpi(u32 nodes,
 /// Run `body` on every rank of a *hybrid* cluster: every node sits on both
 /// a SCRAMNet ring (latency) and a TCP fabric (bandwidth), glued by
 /// scrmpi::HybridChannel with the given payload threshold. This is the
-/// paper's Section 7 "SCRAMNet together with Myrinet/ATM" design.
+/// paper's Section 7 "SCRAMNet together with Myrinet/ATM" design. The bulk
+/// fabric is the kind's cut-through preset; MPI costs and the fault plan
+/// come from `sopts`.
 SimTime run_hybrid_mpi(u32 nodes, TcpFabricKind bulk_kind, u32 threshold,
                        const std::function<void(sim::Process&, scrmpi::Mpi&)>& body,
-                       ScramnetOptions sopts = {}, TcpOptions topts = {});
+                       ScramnetOptions sopts = {});
 
 /// Default TCP stack parameters for a fabric kind.
 netmodels::TcpConfig default_stack(TcpFabricKind kind);
 
-/// Build the fabric for a kind (caller owns it through the returned ptr).
+/// Build the fabric for a kind from its LinkConfig preset (caller owns it
+/// through the returned ptr).
 std::unique_ptr<netmodels::Fabric> make_fabric(sim::Simulation& sim, u32 nodes,
                                                TcpFabricKind kind,
-                                               const TcpOptions& opts);
+                                               const TcpOptions& opts = {});
 
 }  // namespace scrnet::harness

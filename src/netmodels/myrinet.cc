@@ -6,26 +6,6 @@
 
 namespace scrnet::netmodels {
 
-void MyrinetFabric::transmit(Frame f) {
-  assert(f.src < hosts_ && f.dst < hosts_);
-  assert(f.payload.size() <= cfg_.mtu);
-  const SimTime wire = wire_time_bits(
-      (static_cast<u64>(f.payload.size()) + cfg_.header_bytes) * 8, cfg_.mbits_per_s);
-
-  const SimTime tx_start = std::max(sim_.now(), in_busy_[f.src]);
-  in_busy_[f.src] = tx_start + wire;
-
-  // Wormhole cut-through: the head flit reaches the output port after the
-  // routing decision; the tail follows one wire time later. If the output
-  // port is busy the worm stalls in place until it frees.
-  const SimTime head_out =
-      std::max(tx_start + cfg_.propagation + cfg_.switch_latency, out_busy_[f.dst]);
-  const SimTime arrive = head_out + wire + cfg_.propagation;
-  out_busy_[f.dst] = head_out + wire;
-
-  deliver_at(arrive, std::move(f));
-}
-
 void MyrinetApi::send(sim::Process& p, u32 dst, std::span<const u8> payload) {
   // A zero-byte message still occupies one (dummy-byte) frame on the wire.
   static constexpr u8 kDummy = 0;

@@ -1,6 +1,6 @@
-// Myrinet model: 1.28 Gb/s links, source-routed wormhole (cut-through)
-// crossbar switch -- plus the two host-side personalities the paper
-// measures: the native Myrinet API and TCP/IP over Myrinet.
+// The native Myrinet messaging API the paper measures ("Myrinet API"), on a
+// Fabric built from LinkConfig::myrinet(). TCP/IP over Myrinet is a
+// TcpStack on the same fabric.
 #pragma once
 
 #include <span>
@@ -8,33 +8,6 @@
 #include "netmodels/fabric.h"
 
 namespace scrnet::netmodels {
-
-struct MyrinetConfig {
-  double mbits_per_s = 1280.0;
-  u32 mtu = 8192;                  // native API message cap per network op
-  u32 header_bytes = 16;           // route + type + CRC
-  SimTime propagation = ns(300);
-  SimTime switch_latency = ns(550);  // cut-through routing decision
-};
-
-class MyrinetFabric final : public Fabric {
- public:
-  MyrinetFabric(sim::Simulation& sim, u32 hosts, MyrinetConfig cfg = {})
-      : Fabric(sim, hosts), cfg_(cfg) {
-    in_busy_.assign(hosts, 0);
-    out_busy_.assign(hosts, 0);
-  }
-
-  u32 mtu_payload() const override { return cfg_.mtu; }
-  const MyrinetConfig& config() const { return cfg_; }
-
-  void transmit(Frame f) override;
-
- private:
-  MyrinetConfig cfg_;
-  std::vector<SimTime> in_busy_;
-  std::vector<SimTime> out_busy_;
-};
 
 /// Host-side cost model of the vendor ("MyriAPI"-era) messaging library the
 /// paper benchmarks as "Myrinet API": each operation crosses into the
@@ -50,10 +23,10 @@ struct MyrinetApiCosts {
   SimTime per_byte_recv = ns(12);    // copy-out to user buffer
 };
 
-/// Blocking message API over MyrinetFabric for one host.
+/// Blocking message API over a Myrinet Fabric for one host.
 class MyrinetApi {
  public:
-  MyrinetApi(MyrinetFabric& fabric, u32 host, MyrinetApiCosts costs = {})
+  MyrinetApi(Fabric& fabric, u32 host, MyrinetApiCosts costs = {})
       : fabric_(fabric), host_(host), c_(costs) {}
 
   /// Send `payload` to `dst`, splitting at the fabric MTU.
@@ -64,7 +37,7 @@ class MyrinetApi {
   void recv(sim::Process& p, u32 src, std::span<u8> out, usize nbytes);
 
  private:
-  MyrinetFabric& fabric_;
+  Fabric& fabric_;
   u32 host_;
   MyrinetApiCosts c_;
   // Per-source reassembly buffers (frames can interleave across sources).

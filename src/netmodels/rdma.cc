@@ -4,38 +4,15 @@
 #include <cassert>
 #include <cstring>
 #include <memory>
+#include <optional>
 
 namespace scrnet::netmodels {
 
 RdmaFabric::RdmaFabric(sim::Simulation& sim, u32 hosts, RdmaConfig cfg)
-    : Fabric(sim, hosts), cfg_(cfg) {
-  in_busy_.assign(hosts, 0);
-  out_busy_.assign(hosts, 0);
+    : Fabric(sim, hosts, cfg.link), cfg_(cfg) {
   cq_.reserve(hosts);
   for (u32 h = 0; h < hosts; ++h)
     cq_.push_back(std::make_unique<sim::Mailbox<CqEvent>>(sim));
-}
-
-SimTime RdmaFabric::schedule_wire(u32 src, u32 dst, usize payload_bytes) {
-  const SimTime wire = wire_time_bits(
-      (static_cast<u64>(payload_bytes) + cfg_.header_bytes) * 8,
-      cfg_.mbits_per_s);
-  const SimTime tx_start = std::max(sim_.now(), in_busy_[src]);
-  in_busy_[src] = tx_start + wire;
-  // Cut-through: head reaches the output port after the routing decision,
-  // stalls there if the port is draining an earlier worm.
-  const SimTime head_out =
-      std::max(tx_start + cfg_.propagation + cfg_.switch_latency,
-               out_busy_[dst]);
-  out_busy_[dst] = head_out + wire;
-  return head_out + wire + cfg_.propagation;
-}
-
-void RdmaFabric::transmit(Frame f) {
-  assert(f.src < hosts_ && f.dst < hosts_);
-  assert(f.payload.size() <= cfg_.mtu);
-  const SimTime arrive = schedule_wire(f.src, f.dst, f.payload.size());
-  deliver_at(arrive, std::move(f));
 }
 
 u32 RdmaFabric::register_region(u32 host, std::span<u8> region) {
@@ -61,38 +38,26 @@ void RdmaFabric::rdma_put(u32 src_host, u32 rkey, u32 offset,
   op->rkey = rkey;
   op->wr_id = wr_id;
   op->bytes = static_cast<u32>(payload.size());
-  op->remaining = std::max<u32>(
-      1, static_cast<u32>((payload.size() + cfg_.mtu - 1) / cfg_.mtu));
+  op->data.assign(payload.begin(), payload.end());
+  op->remaining =
+      std::max<u32>(1, static_cast<u32>(ceil_div<usize>(payload.size(), link_.mtu)));
   puts_.inc();
   put_bytes_.inc(payload.size());
 
   usize off = 0;
-  u32 chunks = 0;
   do {  // a zero-byte put still needs one wire op to generate its CQE
-    const usize n = std::min<usize>(payload.size() - off, cfg_.mtu);
-    SimTime arrive = schedule_wire(src_host, dst_host, n);
-    // Fault plans see put chunks like any other frame (payload content is
-    // never inspected by hooks, so no copy is made for the verdict).
-    if (fault_ != nullptr) {
-      Frame probe;
-      probe.src = src_host;
-      probe.dst = dst_host;
-      const FaultHook::Verdict v = fault_->on_frame(probe, arrive);
-      if (v.drop) {
-        // RC retries exhaust without the ack: this put never completes, so
-        // its CQE must not fire (the initiator's bounded wait surfaces it).
-        dropped_.inc();
-        op->failed = true;
-        --op->remaining;
-        off += n;
-        ++chunks;
-        continue;
-      }
-      arrive += v.extra_delay;
+    const usize n = std::min<usize>(payload.size() - off, link_.mtu);
+    const std::optional<SimTime> arrive = route(src_host, dst_host, n);
+    if (!arrive) {
+      // RC retries exhaust without the ack: this put never completes, so
+      // its CQE must not fire (the initiator's bounded wait surfaces it).
+      op->failed = true;
+      --op->remaining;
+      off += n;
+      continue;
     }
-    const u8* chunk_base = payload.empty() ? nullptr : payload.data() + off;
     const u32 chunk_off = offset + static_cast<u32>(off);
-    sim_.post_at(arrive, [this, op, chunk_base, chunk_off, n] {
+    sim_.post_at(*arrive, [this, op, off, chunk_off, n] {
       const Region& r = regions_[op->rkey - 1];
       if (!r.live) {
         // Raced a deregister (receiver tore down after a timeout): the NIC
@@ -101,7 +66,7 @@ void RdmaFabric::rdma_put(u32 src_host, u32 rkey, u32 offset,
         op->failed = true;
       } else if (n > 0) {
         assert(static_cast<usize>(chunk_off) + n <= r.len);
-        std::memcpy(r.base + chunk_off, chunk_base, n);
+        std::memcpy(r.base + chunk_off, op->data.data() + off, n);
         delivered_.inc();
         bytes_.inc(n);
       } else {
@@ -114,9 +79,7 @@ void RdmaFabric::rdma_put(u32 src_host, u32 rkey, u32 offset,
       }
     });
     off += n;
-    ++chunks;
   } while (off < payload.size());
-  (void)chunks;
 }
 
 }  // namespace scrnet::netmodels

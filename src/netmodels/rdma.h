@@ -4,7 +4,7 @@
 // and explicit (costly) memory registration.
 //
 // Two personalities on one fabric:
-//   * two-sided transmit()/rx() frames, like the other fabrics -- used by
+//   * two-sided transmit()/rx() frames, inherited from Fabric -- used by
 //     the channel's eager path;
 //   * one-sided rdma_put(): the NIC DMAs payload bytes straight into a
 //     remote *registered* buffer (no rx mailbox, no receiver software on
@@ -23,11 +23,10 @@
 namespace scrnet::netmodels {
 
 struct RdmaConfig {
-  double mbits_per_s = 8000.0;      // 8 Gb/s link (IB 4X-era data rate)
-  u32 mtu = 2048;                   // max payload per wire frame
-  u32 header_bytes = 30;            // LRH + BTH + RETH + CRCs
-  SimTime propagation = ns(250);
-  SimTime switch_latency = ns(200);
+  // 8 Gb/s (IB 4X-era data rate), 2048-byte wire MTU, LRH + BTH + RETH +
+  // CRCs per frame, cut-through switch.
+  LinkConfig link{.mbits_per_s = 8000.0, .mtu = 2048, .header_bytes = 30,
+                  .propagation = ns(250), .switch_latency = ns(200)};
   SimTime doorbell = ns(400);       // WQE build + doorbell PIO write
   SimTime completion_delay = ns(500);  // last-byte ack -> CQE visible
   SimTime cq_poll = ns(150);        // one CQ poll by host software
@@ -49,12 +48,7 @@ class RdmaFabric final : public Fabric {
  public:
   RdmaFabric(sim::Simulation& sim, u32 hosts, RdmaConfig cfg = {});
 
-  u32 mtu_payload() const override { return cfg_.mtu; }
   const RdmaConfig& config() const { return cfg_; }
-
-  /// Two-sided frame path (eager packets, FIN): same wormhole occupancy
-  /// model as the Myrinet fabric, ending in rx(dst).
-  void transmit(Frame f) override;
 
   /// Pin `region` on `host` and mint an rkey for remote writes into it.
   /// The span must stay valid until deregister().
@@ -62,11 +56,15 @@ class RdmaFabric final : public Fabric {
   void deregister(u32 rkey);
 
   /// One-sided RDMA write: DMA `payload` into (rkey, offset) on the target
-  /// host, chunked at the MTU. Returns immediately (NIC-executed); a
-  /// CqEvent {wr_id, rkey, bytes} lands in cq(src_host) completion_delay
-  /// after the last chunk arrives. A chunk dropped by the fault hook kills
-  /// the CQE (RC retry exhaustion -> the initiator's bounded wait fires);
-  /// a put racing a deregister is dropped and counted in rkey_misses().
+  /// host, chunked at the MTU. Every chunk goes through route(), sharing
+  /// link occupancy and fault verdicts with transmit(). Returns immediately
+  /// (NIC-executed); a CqEvent {wr_id, rkey, bytes} lands in cq(src_host)
+  /// completion_delay after the last chunk arrives. The NIC reads `payload`
+  /// at issue, so an initiator that gives up on its CQE (retry_timeout) may
+  /// free or reuse the buffer while chunks are still in flight. A chunk
+  /// dropped by the fault hook kills the CQE (RC retry exhaustion -> the initiator's
+  /// bounded wait fires); a put racing a deregister is dropped and counted
+  /// in rkey_misses().
   void rdma_put(u32 src_host, u32 rkey, u32 offset,
                 std::span<const u8> payload, u64 wr_id);
 
@@ -91,15 +89,10 @@ class RdmaFabric final : public Fabric {
     u32 bytes = 0;
     u32 remaining = 0;  // chunks still in flight
     bool failed = false;
+    std::vector<u8> data;  // source bytes, DMA-read when the put is issued
   };
 
-  /// Occupancy-model a frame of `payload_bytes` from src to dst; returns
-  /// the arrival instant (shared busy state with transmit()).
-  SimTime schedule_wire(u32 src, u32 dst, usize payload_bytes);
-
   RdmaConfig cfg_;
-  std::vector<SimTime> in_busy_;
-  std::vector<SimTime> out_busy_;
   std::vector<std::unique_ptr<sim::Mailbox<CqEvent>>> cq_;
   std::vector<Region> regions_;  // rkey - 1 indexes this table
   Counter puts_, put_bytes_, rkey_miss_, regs_;

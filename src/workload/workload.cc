@@ -291,9 +291,8 @@ Report run(Spec spec) {
       so.bbp.poll_timeout = spec.op_timeout;
       so.mpi.op_timeout = spec.op_timeout;
       so.faults = plan;
-      harness::TcpOptions to;
       end = harness::run_hybrid_mpi(spec.nodes, spec.fabric,
-                                    spec.hybrid_threshold, body, so, to);
+                                    spec.hybrid_threshold, body, so);
       break;
     }
   }

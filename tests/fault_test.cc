@@ -9,7 +9,7 @@
 #include "bbp/endpoint.h"
 #include "common/bytes.h"
 #include "fault/plan.h"
-#include "netmodels/ethernet.h"
+#include "netmodels/fabric.h"
 #include "scramnet/hierarchy.h"
 #include "scramnet/ring.h"
 #include "scramnet/sim_port.h"
@@ -166,7 +166,7 @@ TEST(FaultPlan, ArmValidatesEveryTargetUpFront) {
   cfg.nodes = 4;
   cfg.bank_words = 256;
   Ring ring(sim, cfg);
-  netmodels::EthernetFabric fab(sim, 4);
+  netmodels::Fabric fab(sim, 4, netmodels::LinkConfig::fast_ethernet());
 
   {  // nonexistent link
     fault::FaultPlan p;
@@ -337,7 +337,7 @@ TEST(FaultPlan, FrameLossIsSeededAndOrderIndependent) {
   // same traffic see bit-identical loss.
   auto run = [](u64 seed) {
     sim::Simulation sim;
-    netmodels::EthernetFabric fab(sim, 2);
+    netmodels::Fabric fab(sim, 2, netmodels::LinkConfig::fast_ethernet());
     fault::FaultPlan p;
     p.frame_loss(0, ms(10), 0.5, seed);
     EXPECT_TRUE(p.arm(sim, nullptr, &fab).ok());

@@ -104,7 +104,7 @@ TEST(Hybrid, TrafficSplitMatchesThreshold) {
   // Count which device carried what via a hand-built pair of ranks.
   sim::Simulation sim;
   scramnet::Ring ring(sim, scramnet::RingConfig{});
-  netmodels::MyrinetFabric fabric(sim, 2);
+  netmodels::Fabric fabric(sim, 2, netmodels::LinkConfig::myrinet());
   u64 low = 0, high = 0;
   for (u32 r = 0; r < 2; ++r) {
     sim.spawn("rank" + std::to_string(r), [&, r](sim::Process& p) {

@@ -2,8 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
-#include "netmodels/atm.h"
-#include "netmodels/ethernet.h"
+#include "netmodels/fabric.h"
 #include "netmodels/myrinet.h"
 #include "netmodels/tcp.h"
 
@@ -30,7 +29,7 @@ TEST(Contention, EthernetOutputPortSerializesTwoSenders) {
   // output port must serialize them one frame time apart.
   auto times = arrival_times(
       [](sim::Simulation& sim) {
-        auto net = std::make_unique<EthernetFabric>(sim, 3);
+        auto net = std::make_unique<Fabric>(sim, 3, LinkConfig::fast_ethernet());
         net->transmit(Frame{0, 2, std::vector<u8>(1462)});
         net->transmit(Frame{1, 2, std::vector<u8>(1462)});
         return net;
@@ -43,7 +42,7 @@ TEST(Contention, EthernetOutputPortSerializesTwoSenders) {
 TEST(Contention, MyrinetWormStallsOnBusyOutput) {
   auto times = arrival_times(
       [](sim::Simulation& sim) {
-        auto net = std::make_unique<MyrinetFabric>(sim, 3);
+        auto net = std::make_unique<Fabric>(sim, 3, LinkConfig::myrinet());
         net->transmit(Frame{0, 2, std::vector<u8>(8000)});
         net->transmit(Frame{1, 2, std::vector<u8>(8000)});
         return net;
@@ -58,7 +57,7 @@ TEST(Contention, MyrinetWormStallsOnBusyOutput) {
 TEST(Contention, AtmCellTrainsShareTheOutputLink) {
   auto times = arrival_times(
       [](sim::Simulation& sim) {
-        auto net = std::make_unique<AtmFabric>(sim, 3);
+        auto net = std::make_unique<Fabric>(sim, 3, LinkConfig::atm());
         net->transmit(Frame{0, 2, std::vector<u8>(4800)});  // ~101 cells
         net->transmit(Frame{1, 2, std::vector<u8>(4800)});
         return net;
@@ -72,7 +71,7 @@ TEST(Contention, DistinctDestinationsDontBlockEachOther) {
   // Host 0 sends a big frame to 1; host 2's frame to 3 must not queue
   // behind it (separate output ports).
   sim::Simulation sim;
-  EthernetFabric net(sim, 4);
+  Fabric net(sim, 4, LinkConfig::fast_ethernet());
   net.transmit(Frame{0, 1, std::vector<u8>(1462)});
   net.transmit(Frame{2, 3, std::vector<u8>(64)});
   SimTime t_small = 0, t_big = 0;
@@ -90,7 +89,7 @@ TEST(Contention, DistinctDestinationsDontBlockEachOther) {
 
 TEST(Tcp, ZeroByteSendCarriesHeaderOnlySegment) {
   sim::Simulation sim;
-  EthernetFabric net(sim, 2);
+  Fabric net(sim, 2, LinkConfig::fast_ethernet());
   sim.spawn("tx", [&](sim::Process& p) {
     TcpStack stack(net, 0, TcpConfig::fast_ethernet());
     stack.send(p, 1, {});
@@ -104,7 +103,7 @@ TEST(Tcp, ZeroByteSendCarriesHeaderOnlySegment) {
 
 TEST(Tcp, InterleavedStreamsReassembleIndependently) {
   sim::Simulation sim;
-  EthernetFabric net(sim, 3);
+  Fabric net(sim, 3, LinkConfig::fast_ethernet());
   constexpr u32 kBytes = 6000;  // several segments each
   sim.spawn("tx1", [&](sim::Process& p) {
     TcpStack stack(net, 0, TcpConfig::fast_ethernet());
@@ -131,7 +130,7 @@ TEST(Tcp, InterleavedStreamsReassembleIndependently) {
 
 TEST(Tcp, NonBlockingAbsorbThenPeekConsume) {
   sim::Simulation sim;
-  EthernetFabric net(sim, 2);
+  Fabric net(sim, 2, LinkConfig::fast_ethernet());
   sim.spawn("tx", [&](sim::Process& p) {
     TcpStack stack(net, 0, TcpConfig::fast_ethernet());
     std::vector<u8> m(100);
@@ -156,7 +155,7 @@ TEST(Tcp, NonBlockingAbsorbThenPeekConsume) {
 
 TEST(Myrinet, BigMessageSplitsAtMtu) {
   sim::Simulation sim;
-  MyrinetFabric net(sim, 2);
+  Fabric net(sim, 2, LinkConfig::myrinet());
   sim.spawn("tx", [&](sim::Process& p) {
     MyrinetApi api(net, 0);
     std::vector<u8> m(20000);  // > 8192 MTU: 3 frames

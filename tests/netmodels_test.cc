@@ -4,17 +4,56 @@
 #include <numeric>
 
 #include "common/bytes.h"
-#include "netmodels/atm.h"
-#include "netmodels/ethernet.h"
+#include "netmodels/fabric.h"
 #include "netmodels/myrinet.h"
+#include "netmodels/rdma.h"
 #include "netmodels/tcp.h"
 
 namespace scrnet::netmodels {
 namespace {
 
+SimTime lone_frame_arrival(const LinkConfig& link, usize bytes) {
+  sim::Simulation sim;
+  Fabric net(sim, 2, link);
+  net.transmit(Frame{0, 1, std::vector<u8>(bytes)});
+  SimTime arrived = 0;
+  sim.spawn("rx", [&](sim::Process& p) {
+    net.rx(1).pop(p);
+    arrived = p.now();
+  });
+  sim.run();
+  return arrived;
+}
+
+TEST(Fabric, ExactArrivalOfZeroAndMtuFramesPerPreset) {
+  // Picosecond-exact arrival of one frame on an idle fabric, so a drift
+  // anywhere in the shared framing or switch arithmetic fails here. The
+  // numbers were measured on the earlier one-class-per-technology switch
+  // models, so the presets keep their timing exactly.
+  LinkConfig fe_snf = LinkConfig::fast_ethernet();
+  fe_snf.store_and_forward = true;
+  struct Case {
+    const char* name;
+    LinkConfig link;
+    SimTime zero_bytes, mtu_bytes;  // arrival instants, ps
+  };
+  const Case cases[] = {
+      {"fast_ethernet", LinkConfig::fast_ethernet(), 11'720'000, 128'040'000},
+      {"fast_ethernet_snf", fe_snf, 18'440'000, 251'080'000},
+      {"atm", LinkConfig::atm(), 5'726'337, 526'456'790},
+      {"myrinet", LinkConfig::myrinet(), 1'250'000, 52'450'000},
+      {"rdma", RdmaConfig{}.link, 730'000, 2'778'000},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(lone_frame_arrival(c.link, 0), c.zero_bytes);
+    EXPECT_EQ(lone_frame_arrival(c.link, c.link.mtu), c.mtu_bytes);
+  }
+}
+
 TEST(Ethernet, DeliversFrameWithPayloadIntact) {
   sim::Simulation sim;
-  EthernetFabric net(sim, 4);
+  Fabric net(sim, 4, LinkConfig::fast_ethernet());
   std::vector<u8> data(200);
   fill_pattern(data, 3);
   net.transmit(Frame{0, 2, data});
@@ -32,7 +71,7 @@ TEST(Ethernet, DeliversFrameWithPayloadIntact) {
 
 TEST(Ethernet, MinFrameLatencyIsReasonable) {
   sim::Simulation sim;
-  EthernetFabric net(sim, 2);
+  Fabric net(sim, 2, LinkConfig::fast_ethernet());
   net.transmit(Frame{0, 1, std::vector<u8>(41)});  // ~TCP header-only packet
   SimTime arrived = 0;
   sim.spawn("rx", [&](sim::Process& p) {
@@ -48,9 +87,9 @@ TEST(Ethernet, MinFrameLatencyIsReasonable) {
 TEST(Ethernet, StoreAndForwardDoublesSerialization) {
   auto one_way = [](bool snf) {
     sim::Simulation sim;
-    EthernetConfig cfg;
+    LinkConfig cfg = LinkConfig::fast_ethernet();
     cfg.store_and_forward = snf;
-    EthernetFabric net(sim, 2, cfg);
+    Fabric net(sim, 2, cfg);
     net.transmit(Frame{0, 1, std::vector<u8>(1440)});
     SimTime arrived = 0;
     sim.spawn("rx", [&](sim::Process& p) {
@@ -68,7 +107,7 @@ TEST(Ethernet, StoreAndForwardDoublesSerialization) {
 
 TEST(Ethernet, BackToBackFramesSerializeOnLink) {
   sim::Simulation sim;
-  EthernetFabric net(sim, 2);
+  Fabric net(sim, 2, LinkConfig::fast_ethernet());
   for (int i = 0; i < 4; ++i) net.transmit(Frame{0, 1, std::vector<u8>(1462)});
   std::vector<SimTime> arrivals;
   sim.spawn("rx", [&](sim::Process& p) {
@@ -87,15 +126,16 @@ TEST(Ethernet, BackToBackFramesSerializeOnLink) {
 }
 
 TEST(Atm, CellMathMatchesAal5) {
-  EXPECT_EQ(AtmFabric::cells_for(0), 1u);    // 8B trailer -> 1 cell
-  EXPECT_EQ(AtmFabric::cells_for(40), 1u);   // 48 exactly
-  EXPECT_EQ(AtmFabric::cells_for(41), 2u);
-  EXPECT_EQ(AtmFabric::cells_for(1024), 22u);  // 1032 -> 21.5 -> 22 cells
+  const LinkConfig atm = LinkConfig::atm();
+  EXPECT_EQ(atm.wire_bytes(0), 1u * 53);    // 8B trailer -> 1 cell
+  EXPECT_EQ(atm.wire_bytes(40), 1u * 53);   // 48 exactly
+  EXPECT_EQ(atm.wire_bytes(41), 2u * 53);
+  EXPECT_EQ(atm.wire_bytes(1024), 22u * 53);  // 1032 -> 21.5 -> 22 cells
 }
 
 TEST(Atm, DeliveryAndCellTax) {
   sim::Simulation sim;
-  AtmFabric net(sim, 2);
+  Fabric net(sim, 2, LinkConfig::atm());
   std::vector<u8> data(960);  // + 8 trailer = 968 ec -> padded 1008 -> 21 cells
   fill_pattern(data, 9);
   net.transmit(Frame{0, 1, data});
@@ -113,7 +153,7 @@ TEST(Atm, DeliveryAndCellTax) {
 
 TEST(Myrinet, CutThroughIsFast) {
   sim::Simulation sim;
-  MyrinetFabric net(sim, 2);
+  Fabric net(sim, 2, LinkConfig::myrinet());
   net.transmit(Frame{0, 1, std::vector<u8>(64)});
   SimTime arrived = 0;
   sim.spawn("rx", [&](sim::Process& p) {
@@ -127,7 +167,7 @@ TEST(Myrinet, CutThroughIsFast) {
 
 TEST(MyrinetApi, RoundTripPreservesData) {
   sim::Simulation sim;
-  MyrinetFabric net(sim, 2);
+  Fabric net(sim, 2, LinkConfig::myrinet());
   std::vector<u8> msg(500);
   fill_pattern(msg, 4);
   sim.spawn("a", [&](sim::Process& p) {
@@ -151,7 +191,7 @@ TEST(MyrinetApi, RoundTripPreservesData) {
 
 TEST(MyrinetApi, ZeroByteMessage) {
   sim::Simulation sim;
-  MyrinetFabric net(sim, 2);
+  Fabric net(sim, 2, LinkConfig::myrinet());
   sim.spawn("a", [&](sim::Process& p) {
     MyrinetApi api(net, 0);
     api.send(p, 1, {});
@@ -171,7 +211,7 @@ TEST(MyrinetApi, SmallMessageLatencyBand) {
   // Figure 2 context: "Myrinet API" small-message one-way latency should be
   // several times SCRAMNet's 6.5-7.8us (crossover near ~500 bytes).
   sim::Simulation sim;
-  MyrinetFabric net(sim, 2);
+  Fabric net(sim, 2, LinkConfig::myrinet());
   SimTime t0 = 0, t1 = 0;
   sim.spawn("a", [&](sim::Process& p) {
     MyrinetApi api(net, 0);
@@ -193,7 +233,7 @@ TEST(MyrinetApi, SmallMessageLatencyBand) {
 
 TEST(Tcp, StreamDeliveryAcrossSegments) {
   sim::Simulation sim;
-  EthernetFabric net(sim, 2);
+  Fabric net(sim, 2, LinkConfig::fast_ethernet());
   std::vector<u8> data(5000);  // > 3 MSS
   fill_pattern(data, 7);
   sim.spawn("tx", [&](sim::Process& p) {
@@ -215,7 +255,7 @@ TEST(Tcp, SmallMessageLatencyNearLinux20Numbers) {
   // One-way TCP latency over Fast Ethernet on the paper's class of hardware
   // was ~55-70us.
   sim::Simulation sim;
-  EthernetFabric net(sim, 2);
+  Fabric net(sim, 2, LinkConfig::fast_ethernet());
   SimTime t0 = 0, t1 = 0;
   sim.spawn("tx", [&](sim::Process& p) {
     TcpStack stack(net, 0, TcpConfig::fast_ethernet());
@@ -256,17 +296,21 @@ TEST(Tcp, MyrinetTcpSlowerThanEthernetTcpForSmall) {
     return to_us(t1 - t0);
   };
   const double fe = one_way(
-      [](sim::Simulation& s) { return std::make_unique<EthernetFabric>(s, 2); },
+      [](sim::Simulation& s) {
+        return std::make_unique<Fabric>(s, 2, LinkConfig::fast_ethernet());
+      },
       TcpConfig::fast_ethernet());
   const double myr = one_way(
-      [](sim::Simulation& s) { return std::make_unique<MyrinetFabric>(s, 2); },
+      [](sim::Simulation& s) {
+        return std::make_unique<Fabric>(s, 2, LinkConfig::myrinet());
+      },
       TcpConfig::myrinet());
   EXPECT_GT(myr, fe);  // Figure 2: Myrinet(TCP) above Fast Ethernet(TCP)
 }
 
 TEST(Tcp, LargeTransferApproachesWireRate) {
   sim::Simulation sim;
-  EthernetFabric net(sim, 2);
+  Fabric net(sim, 2, LinkConfig::fast_ethernet());
   constexpr usize kBytes = 1 << 20;
   SimTime t1 = 0;
   sim.spawn("tx", [&](sim::Process& p) {
@@ -289,7 +333,7 @@ TEST(Tcp, LargeTransferApproachesWireRate) {
 
 TEST(Tcp, PerSourceDemux) {
   sim::Simulation sim;
-  EthernetFabric net(sim, 3);
+  Fabric net(sim, 3, LinkConfig::fast_ethernet());
   sim.spawn("tx1", [&](sim::Process& p) {
     TcpStack stack(net, 0, TcpConfig::fast_ethernet());
     std::vector<u8> m(100);

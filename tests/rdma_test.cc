@@ -78,7 +78,7 @@ TEST(RdmaFabric, DeregisteredRkeySwallowsPutWithoutCqe) {
 TEST(RdmaFabric, MultiChunkPutRaisesOneCqeAfterLastChunk) {
   sim::Simulation sim;
   RdmaConfig cfg;
-  cfg.mtu = 1024;
+  cfg.link.mtu = 1024;
   RdmaFabric fab(sim, 2, cfg);
   std::vector<u8> dst(10 * 1024, 0);
   const u32 rkey = fab.register_region(1, dst);
@@ -89,6 +89,66 @@ TEST(RdmaFabric, MultiChunkPutRaisesOneCqeAfterLastChunk) {
   EXPECT_TRUE(check_pattern(dst, 6));
   ASSERT_TRUE(fab.cq(0).try_pop().has_value());
   EXPECT_FALSE(fab.cq(0).try_pop().has_value());  // exactly one CQE
+}
+
+TEST(RdmaFabric, PutReadsSourceAtIssueNotAtArrival) {
+  // An initiator whose CQE wait timed out returns to its caller, which may
+  // overwrite or free the buffer while chunks are still on the wire; the
+  // bytes that land must be the ones the put was issued with.
+  sim::Simulation sim;
+  RdmaFabric fab(sim, 2);
+  std::vector<u8> dst(4096, 0);
+  const u32 rkey = fab.register_region(1, dst);
+  sim.post_at(0, [&] {
+    std::vector<u8> src(4096);
+    fill_pattern(src, 5);
+    fab.rdma_put(0, rkey, 0, src, 1);
+    fill_pattern(src, 6);
+  });  // src is freed here, before any chunk arrives
+  sim.run();
+  EXPECT_TRUE(check_pattern(dst, 5));
+}
+
+TEST(RdmaFabric, CongestionDelaysPutCqeByExactlyExtra) {
+  // A fabric congestion window stretches every put chunk's arrival by
+  // `extra`, so the CQE (raised after the last chunk) lands exactly `extra`
+  // later, and the plan counts one congestion injection per chunk.
+  constexpr SimTime kExtra = us(7);
+  constexpr u32 kBytes = 5000;
+  const u32 chunks = ceil_div<u32>(kBytes, RdmaConfig{}.link.mtu);
+  ASSERT_EQ(chunks, 3u);
+  struct Result {
+    SimTime cqe = 0;
+    u64 congestion = 0;
+  };
+  auto put = [](SimTime extra) {
+    sim::Simulation sim;
+    RdmaFabric fab(sim, 2);
+    fault::FaultPlan plan;
+    if (extra > 0) {
+      plan.fabric_congestion(0, ms(1), extra);
+      EXPECT_TRUE(plan.arm(sim, nullptr, &fab).ok());
+    }
+    std::vector<u8> dst(kBytes, 0), src(kBytes);
+    fill_pattern(src, 8);
+    const u32 rkey = fab.register_region(1, dst);
+    sim.post_at(0, [&] { fab.rdma_put(0, rkey, 0, src, 3); });
+    Result r;
+    sim.spawn("initiator", [&](sim::Process& p) {
+      EXPECT_EQ(fab.cq(0).pop(p).wr_id, 3u);
+      r.cqe = p.now();
+    });
+    sim.run();
+    EXPECT_TRUE(check_pattern(dst, 8));
+    r.congestion = plan.fired(fault::FaultKind::kCongestion);
+    return r;
+  };
+  const Result base = put(0);
+  const Result slow = put(kExtra);
+  EXPECT_EQ(base.cqe, SimTime{6'290'000});  // uncongested, ps
+  EXPECT_EQ(base.congestion, 0u);
+  EXPECT_EQ(slow.cqe, base.cqe + kExtra);
+  EXPECT_EQ(slow.congestion, u64{chunks});
 }
 
 TEST(RdmaMpi, EagerAndZeroCopyPingPong) {
